@@ -1,34 +1,64 @@
-(* Hashtable probes on a small table plus dependent loads over a 2 MiB
-   ring. The ring is a Bigarray, outside the OCaml heap: the major GC
-   paces itself on the heap it starts from, and a static 2 MiB OCaml
-   array measurably moved the program's peak heap. *)
-let keys = 1 lsl 12
-let ring_size = 1 lsl 18
-let iters = 100_000
-let table = Hashtbl.create keys
+(* The calibration kernel is a small register-machine interpreter: a
+   pattern match per instruction, hashtable loads and stores standing in
+   for page lookups, and an indirect call per hook. That is the
+   simulator's own mix of work, so neighbour load slows it in about the
+   same proportion — a hashtable-and-array kernel tracked it markedly
+   worse. Every call starts from the same registers and memory, so it
+   executes the same instruction sequence each time; nothing allocates,
+   and its few kilobytes of data are built once at start-up. *)
 
-let () =
-  for i = 0 to keys - 1 do
-    Hashtbl.replace table (i * 7919) i
+type insn =
+  | Add of int * int
+  | Load of int * int
+  | Store of int * int
+  | Jump_if_odd of int * int
+  | Hook of int
+
+let nregs = 8
+let pages = 1 lsl 12
+let prog_size = 256
+let iters = 150_000
+let regs = Array.make nregs 0
+let mem = Hashtbl.create pages
+
+let reset () =
+  Array.iteri (fun i _ -> regs.(i) <- i + 1) regs;
+  for p = 0 to pages - 1 do
+    Hashtbl.replace mem (p * 4096) p
   done
 
-let ring =
-  let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout ring_size in
-  for i = 0 to ring_size - 1 do
-    a.{i} <- (i * 0x9E37_79B1) land (ring_size - 1)
-  done;
-  a
+let prog =
+  let x = ref 12345 in
+  let r bound =
+    x := ((!x * 1103515245) + 12345) land 0x3FFF_FFFF;
+    (!x lsr 8) mod bound
+  in
+  Array.init prog_size (fun _ ->
+      match r 5 with
+      | 0 -> Add (r nregs, r nregs)
+      | 1 -> Load (r nregs, r nregs)
+      | 2 -> Store (r nregs, r nregs)
+      | 3 -> Jump_if_odd (r nregs, r prog_size)
+      | _ -> Hook (r 4))
+
+let hooks = Array.init 4 (fun k v -> (v lxor (k + 1)) land 0xFFFF)
+let page_of r = (regs.(r) land (pages - 1)) * 4096
 
 let kernel () =
-  let acc = ref 0 and j = ref 1 in
-  for i = 1 to iters do
-    acc := !acc + Hashtbl.find table ((i land (keys - 1)) * 7919);
-    j := Bigarray.Array1.unsafe_get ring ((!j lxor i) land (ring_size - 1));
-    if !j land 3 = 0 then acc := !acc + !j else acc := !acc lxor !j
+  reset ();
+  let pc = ref 0 in
+  for _ = 1 to iters do
+    (match Array.unsafe_get prog !pc with
+    | Add (a, b) -> regs.(a) <- (regs.(a) + regs.(b)) land 0xFF_FFFF
+    | Load (a, b) -> regs.(a) <- Hashtbl.find mem (page_of b)
+    | Store (a, b) -> Hashtbl.replace mem (page_of b) (regs.(a) land 0xFFF)
+    | Jump_if_odd (a, target) -> if regs.(a) land 1 = 1 then pc := target - 1
+    | Hook k -> regs.(k) <- hooks.(k) regs.(k));
+    pc := (!pc + 1) land (prog_size - 1)
   done;
-  !acc
+  regs.(0)
 
-let reference_ns = 5_000_000
+let reference_ns = 1_500_000
 
 let time () =
   let t0 = Clock.now_ns () in

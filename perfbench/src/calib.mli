@@ -9,14 +9,15 @@
     reference-host units. *)
 
 val reference_ns : int
-(** Duration of {!time}'s kernel on the quiet reference host (2-vCPU
-    Intel Xeon VM). Host times are reported as
+(** About the duration of {!time}'s kernel on the quiet reference host
+    (2-vCPU Intel Xeon VM), so that calibrated times read close to quiet
+    wall-clock times. Host times are reported as
     [measured * reference_ns / calibration]. *)
 
 val time : unit -> int
-(** Run the calibration kernel once (a few milliseconds of hashtable
-    probes, dependent array loads and branches; allocation-free) and
-    return its host nanoseconds. *)
+(** Run the calibration kernel once (150,000 steps of a small
+    register-machine interpreter, under 2 ms on a quiet host;
+    allocation-free) and return its host nanoseconds. *)
 
 val scale : int -> int -> float
 (** [scale before after] is the factor [reference_ns / mean(before,
