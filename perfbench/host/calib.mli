@@ -6,7 +6,13 @@
     time equal to wall time, so the process was slowed, not descheduled).
     A fixed, program-independent kernel timed next to every measured lap
     and set-up tracks that speed; dividing by it expresses host times in
-    reference-host units. *)
+    reference-host units.
+
+    The kernel is compiled with fixed flags (see this library's [dune])
+    and uses no Stdlib container, so build-flag changes made for the
+    simulator do not reach it. A compiler upgrade still speeds or slows
+    both alike, so its effect on the simulator is not measured by
+    calibrated times. *)
 
 val reference_ns : int
 (** About the duration of {!time}'s kernel on the quiet reference host
@@ -15,7 +21,7 @@ val reference_ns : int
     [measured * reference_ns / calibration]. *)
 
 val time : unit -> int
-(** Run the calibration kernel once (150,000 steps of a small
+(** Run the calibration kernel once (262,000 steps of a small
     register-machine interpreter, under 2 ms on a quiet host;
     allocation-free) and return its host nanoseconds. *)
 

@@ -2,7 +2,7 @@
 
 let () =
   let workload = ref "" and seed = ref 1 and seconds = ref 10.0 in
-  let trace = ref 0 and smoke = ref false and spans = ref "" in
+  let trace = ref 0 and smoke = ref false in
   let specs =
     [
       ("--workload", Arg.Set_string workload, "NAME twin-tx | domU-rx-small | fleet");
@@ -10,7 +10,6 @@ let () =
       ("--seconds", Arg.Set_float seconds, "S timed window length (default 10)");
       ("--trace", Arg.Set_int trace, "0|1 end-to-end (0) or per-layer (1) metrics");
       ("--smoke", Arg.Set smoke, " smoke-sized inputs (the benchmark's own tests)");
-      ("--spans", Arg.Set_string spans, "FILE write the traced run's span log");
     ]
   in
   let usage = "main.exe --workload NAME [--seed N] [--seconds S] [--trace 0|1]" in
@@ -24,9 +23,8 @@ let () =
       prerr_endline "--trace takes 0 or 1";
       exit 2
   | Some spec ->
-      let spans_out = if !spans = "" then None else Some !spans in
       let r =
-        Perfbench.Bench.run ?spans_out spec ~seed:!seed ~seconds:!seconds
+        Perfbench.Bench.run spec ~seed:!seed ~seconds:!seconds
           ~trace:(!trace = 1)
       in
       List.iter

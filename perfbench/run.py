@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload twin-tx --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload twin-tx --seed 1 --seconds 15 --trace 0
 
 The last line of standard output is the run's JSON result. The exit
 status is non-zero when the build fails, an output check fails or the run

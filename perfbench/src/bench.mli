@@ -22,15 +22,14 @@ val per_layer : (string * string) list
 (** Per-layer metric names and units, in report order. *)
 
 val run :
-  ?spans_out:string ->
   Workload.spec ->
   seed:int ->
   seconds:float ->
   trace:bool ->
   result
 (** Runs the workload for at least [seconds] of timed window (always at
-    least its reference segment). [spans_out] writes the traced run's
-    span log. *)
+    least its reference segment). A traced run writes its span log to
+    [.bench_build/spans-<workload>.tsv] under the working directory. *)
 
 val to_json : result -> string
 (** [{"correct", "attempted", "failed", "metrics": {name: {"value",

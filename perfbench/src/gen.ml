@@ -34,6 +34,16 @@ let payload ~key ~seq len =
   done;
   Bytes.unsafe_to_string b
 
+let seq s =
+  if String.length s < 8 then -1
+  else begin
+    let seq = ref 0 in
+    for i = 7 downto 0 do
+      seq := (!seq lsl 8) lor Char.code (String.unsafe_get s i)
+    done;
+    !seq
+  end
+
 let check ~key s =
   let len = String.length s in
   if len < 8 then -1

@@ -21,6 +21,10 @@ val payload : key:int -> seq:int -> int -> string
     first 8 bytes hold [seq] little-endian and whose remaining bytes are a
     function of [(key, seq, index)]. *)
 
+val seq : string -> int
+(** The sequence number in a payload's first 8 bytes, unchecked; [-1] for
+    a payload shorter than 8 bytes. Allocation-free. *)
+
 val check : key:int -> string -> int
 (** The sequence number carried by a payload built with the same [key],
     after comparing every byte against what {!payload} would produce;

@@ -146,38 +146,30 @@ let leave t =
   end;
   t.spans <- s + 1
 
+(* Run [f x] inside a span of kind [k] (an index); a direct call while
+   recording is off. *)
+let span t k f x =
+  if not t.on then f x
+  else begin
+    enter t k;
+    match f x with
+    | r ->
+        leave t;
+        r
+    | exception e ->
+        leave t;
+        raise e
+  end
+
 (* ---- layer wrappers ---- *)
 
-let wrap_native t k (f : Native.fn) : Native.fn =
- fun st ->
-  enter t k;
-  match f st with
-  | () -> leave t
-  | exception e ->
-      leave t;
-      raise e
+let wrap_native t k (f : Native.fn) : Native.fn = fun st -> span t k f st
 
 let wrap_device t (d : Addr_space.device) : Addr_space.device =
   let k = index Mmio in
   {
-    Addr_space.dev_read =
-      (fun off w ->
-        enter t k;
-        match d.Addr_space.dev_read off w with
-        | v ->
-            leave t;
-            v
-        | exception e ->
-            leave t;
-            raise e);
-    dev_write =
-      (fun off w v ->
-        enter t k;
-        match d.Addr_space.dev_write off w v with
-        | () -> leave t
-        | exception e ->
-            leave t;
-            raise e);
+    Addr_space.dev_read = (fun off w -> span t k (d.Addr_space.dev_read off) w);
+    dev_write = (fun off w v -> span t k (d.Addr_space.dev_write off w) v);
   }
 
 (* Native routines live at [native_base + 16 i] in registration order;
@@ -255,71 +247,20 @@ let grant_copies t = t.grant_copies
 (* ---- traced World entry points ---- *)
 
 let transmit t w ~nic ~payload =
-  if not t.on then World.transmit w ~nic ~payload
-  else begin
-    enter t (index Transmit);
-    match World.transmit w ~nic ~payload with
-    | r ->
-        leave t;
-        r
-    | exception e ->
-        leave t;
-        raise e
-  end
+  span t (index Transmit) (fun nic -> World.transmit w ~nic ~payload) nic
 
 let transmit_from t w ~guest ~payload =
-  if not t.on then World.transmit_from w ~guest ~payload
-  else begin
-    enter t (index Transmit);
-    match World.transmit_from w ~guest ~payload with
-    | r ->
-        leave t;
-        r
-    | exception e ->
-        leave t;
-        raise e
-  end
+  span t (index Transmit) (fun guest -> World.transmit_from w ~guest ~payload) guest
 
 let inject_rx t w ~guest ~nic ~payload =
-  if not t.on then World.inject_rx ~guest w ~nic ~payload
-  else begin
-    enter t (index Inject_rx);
-    match World.inject_rx ~guest w ~nic ~payload with
-    | () -> leave t
-    | exception e ->
-        leave t;
-        raise e
-  end
+  span t (index Inject_rx) (fun nic -> World.inject_rx ~guest w ~nic ~payload) nic
 
-let unit_call t k f w =
-  if not t.on then f w
-  else begin
-    enter t k;
-    match f w with
-    | () -> leave t
-    | exception e ->
-        leave t;
-        raise e
-  end
-
-let pump t w = unit_call t (index Pump) World.pump w
-let tick t w = unit_call t (index Tick) World.tick w
-
-let create_guest t w =
-  if not t.on then World.create_guest w
-  else begin
-    enter t (index Create_guest);
-    match World.create_guest w with
-    | g ->
-        leave t;
-        g
-    | exception e ->
-        leave t;
-        raise e
-  end
+let pump t w = span t (index Pump) World.pump w
+let tick t w = span t (index Tick) World.tick w
+let create_guest t w = span t (index Create_guest) (fun w -> World.create_guest w) w
 
 let destroy_guest t w ~guest =
-  unit_call t (index Destroy_guest) (fun w -> World.destroy_guest w ~guest) w
+  span t (index Destroy_guest) (fun guest -> World.destroy_guest w ~guest) guest
 
 (* ---- aggregates ---- *)
 
@@ -343,6 +284,7 @@ let percentile_ns t k p =
 
 let write_spans t path =
   let oc = open_out path in
+  output_string oc "# kind\tframe\tstart_ns\tend_ns\tdepth\n";
   for s = 0 to min t.spans log_capacity - 1 do
     Printf.fprintf oc "%s\t%d\t%d\t%d\t%d\n"
       (kind_name all.(t.log_kind.(s)))

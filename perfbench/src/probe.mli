@@ -89,4 +89,5 @@ val percentile_ns : t -> kind -> float -> int
 
 val write_spans : t -> string -> unit
 (** Write the retained span log (the first spans recorded, up to a fixed
-    capacity) as tab-separated [kind frame start_ns end_ns depth]. *)
+    capacity) as tab-separated [kind frame start_ns end_ns depth] lines
+    after a [#] header line; times count from {!instrument}. *)

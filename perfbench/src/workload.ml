@@ -4,9 +4,11 @@ type tally = {
   mutable attempted : int;
   mutable tx_ok : int;
   mutable tx_bytes : int;
+  mutable tx_lens : int list;
   mutable tx_failed : int;
   mutable rx_ok : int;
   mutable rx_bad : int;
+  mutable rx_stray : int;
   mutable rx_failed : int;
   mutable churned : int;
 }
@@ -14,9 +16,12 @@ type tally = {
 type t = {
   world : World.t;
   tally : tally;
+  wire0 : int;
+  wire_bytes0 : int;
   step : unit -> unit;
   finish : unit -> unit;
-  checks : unit -> (string * bool) list;
+  lossless : bool;
+  extra_checks : unit -> (string * bool) list;
 }
 
 type spec = {
@@ -37,15 +42,28 @@ let new_tally () =
     attempted = 0;
     tx_ok = 0;
     tx_bytes = 0;
+    tx_lens = [];
     tx_failed = 0;
     rx_ok = 0;
     rx_bad = 0;
+    rx_stray = 0;
     rx_failed = 0;
     churned = 0;
   }
 
-let delivered d = World.wire_tx_frames d.world + d.tally.rx_ok
-let failed d = d.tally.tx_failed + d.tally.rx_failed
+let wire d = World.wire_tx_frames d.world - d.wire0
+let reached d = wire d + d.tally.rx_ok
+
+(* accepted transmits missing from the wire; final once the world is shut
+   down and nothing is staged *)
+let tx_lost d = d.tally.tx_ok - wire d
+let missing d = tx_lost d + d.tally.rx_failed
+
+let accept (ta : tally) payload =
+  let len = String.length payload + eth_header in
+  ta.tx_ok <- ta.tx_ok + 1;
+  ta.tx_bytes <- ta.tx_bytes + len;
+  if not (List.mem len ta.tx_lens) then ta.tx_lens <- len :: ta.tx_lens
 
 (* ---- shared pieces ---- *)
 
@@ -87,32 +105,71 @@ let drain_rx w ~key pending (ta : tally) =
     match World.rx_pop w with
     | None -> ()
     | Some payload ->
-        let seq = Gen.check ~key payload in
-        if seq >= 0 && Pending.take pending seq then ta.rx_ok <- ta.rx_ok + 1
-        else ta.rx_bad <- ta.rx_bad + 1;
+        let seq = Gen.seq payload in
+        if seq >= 0 && Pending.take pending seq then
+          if Gen.check ~key payload = seq then ta.rx_ok <- ta.rx_ok + 1
+          else ta.rx_bad <- ta.rx_bad + 1
+        else ta.rx_stray <- ta.rx_stray + 1;
         go ()
   in
   go ()
 
 (* after shutdown nothing is in flight: every receive still pending was
-   lost (or came back corrupted, which [rx_bad] also records) *)
+   lost, or came back with its sequence number corrupted (a stray) *)
 let settle pending (ta : tally) =
   ta.rx_failed <- ta.rx_failed + pending.Pending.live;
   Array.fill pending.Pending.slots 0 Pending.size 0;
   pending.Pending.live <- 0
 
-let common_checks w (ta : tally) ~wire0 ~wire_bytes0 =
-  let wire = World.wire_tx_frames w - wire0 in
+(* [lost] frames missing from the wire, [bytes] bytes in all: could they
+   be whole accepted frames? Exact for the one or two frame lengths a
+   workload sends. *)
+let whole_frames (ta : tally) ~lost ~bytes =
+  match List.sort compare ta.tx_lens with
+  | [] -> lost = 0 && bytes = 0
+  | [ len ] -> bytes = lost * len
+  | [ short; long ] ->
+      let extra = bytes - (lost * short) in
+      extra >= 0 && extra mod (long - short) = 0
+      && extra / (long - short) <= lost
+  | _ -> invalid_arg "perfbench: more than two transmit frame lengths"
+
+(* Wire frames carry no payload check, so a transmit the program
+   corrupted shows only in the byte count: 1 when the bytes missing from
+   the wire are not those of whole accepted frames (at least one frame
+   reached the wire with the wrong length), else 0. *)
+let tx_corrupt d =
+  let ta = d.tally in
+  let bytes = ta.tx_bytes - (World.wire_tx_bytes d.world - d.wire_bytes0) in
+  if whole_frames ta ~lost:(tx_lost d) ~bytes then 0 else 1
+
+let corrupted d = tx_corrupt d + d.tally.rx_bad + d.tally.rx_stray
+let delivered d = reached d - tx_corrupt d
+
+let failed d =
+  d.tally.tx_failed + missing d + tx_corrupt d + d.tally.rx_bad
+
+let checks d =
+  let w = d.world and ta = d.tally in
   [
-    ( "attempted = delivered + failed",
-      ta.attempted = wire + ta.rx_ok + ta.tx_failed + ta.rx_failed );
-    ("accepted transmits reached the wire", wire = ta.tx_ok);
-    ( "wire bytes match the accepted payloads",
-      World.wire_tx_bytes w - wire_bytes0 = ta.tx_bytes );
-    ("every received payload matched byte for byte", ta.rx_bad = 0);
+    ("attempted = delivered + failed", ta.attempted = delivered d + failed d);
+    ("no more wire frames than accepted transmits", tx_lost d >= 0);
     ("staged_frames = 0 after shutdown", World.staged_frames w = 0);
     ("netio_conserved", World.netio_conserved w);
   ]
+  @ (if d.lossless then
+    [
+      ( "without a fault plan every frame is delivered intact",
+        failed d = 0 && ta.rx_stray = 0 );
+    ]
+  else
+    [
+      ( "every frame the fault engine counts lost is missing",
+        World.fault_lost w <= missing d );
+      ( "every stray receive stands for a missing one",
+        ta.rx_stray <= ta.rx_failed );
+    ])
+  @ d.extra_checks ()
 
 let contained f =
   try f () with World.Driver_aborted _ | World.Nic_quarantined _ -> ()
@@ -144,10 +201,7 @@ let twin_start probe ~seed w =
     let nic = i mod twin_nics in
     Probe.set_frame probe i;
     let payload = payloads.(nic) in
-    if Probe.transmit probe w ~nic ~payload then begin
-      ta.tx_ok <- ta.tx_ok + 1;
-      ta.tx_bytes <- ta.tx_bytes + String.length payload + eth_header
-    end
+    if Probe.transmit probe w ~nic ~payload then accept ta payload
     else ta.tx_failed <- ta.tx_failed + 1;
     if i mod 8 = 7 then Probe.pump probe w
   in
@@ -158,9 +212,12 @@ let twin_start probe ~seed w =
   {
     world = w;
     tally = ta;
+    wire0;
+    wire_bytes0;
     step;
     finish;
-    checks = (fun () -> common_checks w ta ~wire0 ~wire_bytes0);
+    lossless = true;
+    extra_checks = (fun () -> []);
   }
 
 (* ---- domU-rx-small: 64-byte receives through netback and the bridge ---- *)
@@ -199,20 +256,22 @@ let rx_start probe ~seed w =
   {
     world = w;
     tally = ta;
+    wire0;
+    wire_bytes0;
     step;
     finish;
-    checks = (fun () -> common_checks w ta ~wire0 ~wire_bytes0);
+    lossless = true;
+    extra_checks = (fun () -> []);
   }
 
 (* ---- fleet: the N-domain open-loop soak ---- *)
 
 let fleet_nics = 4
 
-(* Restart-replay supervision with the soak's fault rates on the sites
-   that detect and recover without destroying frames by design (driver
-   bit-flips, lost interrupts). Stuck TX DMA and corrupted RX descriptors
-   discard frames as their intended effect, which would make failed
-   frames part of the workload's definition, so they stay at zero. *)
+(* Restart-replay supervision under the recovery soak's plan
+   ([Experiments.soak_plan] at 2e-5 per opportunity): every site armed,
+   including stuck TX DMA and corrupted RX descriptors, whose frames are
+   lost by design and count as failed. *)
 let fleet_rate = 2e-5
 
 let fleet_tuning ~seed =
@@ -227,9 +286,9 @@ let fleet_tuning ~seed =
           Td_fault.seed;
           svm_wild_access = fleet_rate *. 50.0;
           interp_bitflip = fleet_rate /. 500.0;
-          nic_stuck_dma = 0.0;
+          nic_stuck_dma = fleet_rate /. 4.0;
           nic_lost_irq = fleet_rate;
-          nic_corrupt_rx = 0.0;
+          nic_corrupt_rx = fleet_rate;
           upcall_fail = fleet_rate;
         };
   }
@@ -261,9 +320,7 @@ let fleet_start ~churn_every ~churn_max probe ~seed w =
     ta.attempted <- ta.attempted + 1;
     Probe.set_frame probe ta.attempted;
     match Probe.transmit_from probe w ~guest ~payload with
-    | true ->
-        ta.tx_ok <- ta.tx_ok + 1;
-        ta.tx_bytes <- ta.tx_bytes + String.length payload + eth_header
+    | true -> accept ta payload
     | false -> ta.tx_failed <- ta.tx_failed + 1
     | exception (World.Driver_aborted _ | World.Nic_quarantined _) ->
         ta.tx_failed <- ta.tx_failed + 1
@@ -337,16 +394,18 @@ let fleet_start ~churn_every ~churn_max probe ~seed w =
   {
     world = w;
     tally = ta;
+    wire0;
+    wire_bytes0;
     step;
     finish;
-    checks =
+    lossless = false;
+    extra_checks =
       (fun () ->
-        common_checks w ta ~wire0 ~wire_bytes0
-        @ [
-            ( "doorbell pages mapped = open channels",
-              World.doorbell_pages_mapped w = open_channels () );
-            ("churn cycles completed", ta.churned = churn_max);
-          ]);
+        [
+          ( "doorbell pages mapped = open channels",
+            World.doorbell_pages_mapped w = open_channels () );
+          ("churn cycles completed", ta.churned = churn_max);
+        ]);
   }
 
 let all ~smoke =

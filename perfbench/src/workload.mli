@@ -6,15 +6,23 @@
     open-loop [fleet]. Every frame the generator offers is counted as
     attempted; a frame is delivered when it reaches the wire (transmit) or
     the consumer's [rx_pop] byte for byte (receive), and failed when the
-    program refuses it, raises, loses it or corrupts it. *)
+    program refuses it, raises, loses it or corrupts it. A transmit is
+    lost when the program accepted it but it never reached the wire; only
+    [fleet] arms a fault plan, and only there may frames be lost. *)
 
 type tally = {
   mutable attempted : int;
   mutable tx_ok : int;  (** transmits the program accepted *)
-  mutable tx_bytes : int;  (** wire bytes those accepted frames must add *)
+  mutable tx_bytes : int;  (** wire bytes those accepted frames add *)
+  mutable tx_lens : int list;  (** distinct wire lengths of accepted frames *)
   mutable tx_failed : int;  (** transmits refused or raised *)
   mutable rx_ok : int;  (** received payloads that matched byte for byte *)
-  mutable rx_bad : int;  (** received payloads that did not, or duplicates *)
+  mutable rx_bad : int;
+      (** received payloads whose sequence number was pending but whose
+          bytes differ: delivered corrupted *)
+  mutable rx_stray : int;
+      (** received payloads carrying no pending sequence number: a
+          duplicate, or one whose sequence bytes were corrupted *)
   mutable rx_failed : int;  (** receives that raised or never arrived *)
   mutable churned : int;
 }
@@ -22,12 +30,16 @@ type tally = {
 type t = {
   world : Twindrivers.World.t;
   tally : tally;
+  wire0 : int;  (** wire frames before the first unit *)
+  wire_bytes0 : int;  (** wire bytes before the first unit *)
   step : unit -> unit;  (** advance one unit *)
   finish : unit -> unit;
       (** pump, tick, shut the world down and drain every received frame;
           outstanding receives then count as failed *)
-  checks : unit -> (string * bool) list;
-      (** named output checks, valid after {!finish} *)
+  lossless : bool;
+      (** no fault plan: every frame must be delivered intact *)
+  extra_checks : unit -> (string * bool) list;
+      (** the workload's own output checks, valid after [finish] *)
 }
 
 type spec = {
@@ -48,7 +60,28 @@ type spec = {
 val all : smoke:bool -> spec list
 val find : smoke:bool -> string -> spec option
 
+val reached : t -> int
+(** Frames that reached the wire or came back intact through [rx_pop] so
+    far. *)
+
 val delivered : t -> int
-(** Frames delivered so far (wire frames plus verified receives). *)
+(** {!reached} less a transmit detected as corrupted. Final after
+    [finish], like everything below. *)
+
+val missing : t -> int
+(** Accepted transmits missing from the wire plus receives that raised or
+    never arrived. Final after [finish]. *)
+
+val corrupted : t -> int
+(** Frames that arrived with wrong bytes: received payloads that failed
+    the byte check, plus 1 when the wire bytes show that at least one
+    transmit reached the wire with the wrong length (wire frames carry no
+    payload check, so that count is a lower bound). *)
 
 val failed : t -> int
+(** Refused transmits, {!missing} frames and frames delivered corrupted. *)
+
+val checks : t -> (string * bool) list
+(** Named output checks: frame accounting, conservation after shutdown,
+    lossless delivery without a fault plan, consistency with the fault
+    engine under one, and the workload's [extra_checks]. *)

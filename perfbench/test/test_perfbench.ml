@@ -97,12 +97,18 @@ let count_metrics r =
   in
   go 0 0
 
-let check_clean r =
+(* Only fleet arms a fault plan, whose stuck-DMA and corrupt-RX sites
+   lose frames by design; the closed loops must lose none. *)
+let check_clean name r =
   Alcotest.(check int) "exit status" 0 r.status;
   Alcotest.(check string) "correct" "true" (field r "correct");
-  Alcotest.(check bool) "attempted frames" true
-    (int_of_string (field r "attempted") > 0);
-  Alcotest.(check string) "failed frames" "0" (field r "failed")
+  let attempted = int_of_string (field r "attempted")
+  and failed = int_of_string (field r "failed") in
+  Alcotest.(check bool) "attempted frames" true (attempted > 0);
+  if name = "fleet" then
+    Alcotest.(check bool) "failed frames within attempted" true
+      (failed >= 0 && failed < attempted)
+  else Alcotest.(check int) "failed frames" 0 failed
 
 let check_complete table r =
   List.iter
@@ -135,17 +141,42 @@ let repeats names a b =
 
 let untraced_case name () =
   let a = run ~trace:false name in
-  check_clean a;
+  check_clean name a;
   check_complete Bench.end_to_end a;
   let b = run ~trace:false name in
   repeats simulated a b;
   Alcotest.(check string) "digest repeats" a.digest b.digest
 
+(* kind, frame, start, end, depth: non-negative integers after the kind,
+   start <= end *)
+let check_span_log name r =
+  let path = Filename.concat ".bench_build" ("spans-" ^ name ^ ".tsv") in
+  Alcotest.(check bool) (path ^ " written") true (Sys.file_exists path);
+  let lines =
+    List.filter
+      (fun l -> l <> "" && l.[0] <> '#')
+      (String.split_on_char '\n' (read_file path))
+  in
+  Alcotest.(check int) "one line per span"
+    (min 65536 (int_of_float (value r "trace.spans")))
+    (List.length lines);
+  List.iter
+    (fun l ->
+      match String.split_on_char '\t' l with
+      | [ _kind; frame; start; stop; depth ] ->
+          let n = List.map int_of_string [ frame; start; stop; depth ] in
+          Alcotest.(check bool) ("span fields: " ^ l) true
+            (List.for_all (fun x -> x >= 0) n
+            && int_of_string start <= int_of_string stop)
+      | _ -> Alcotest.failf "malformed span line: %s" l)
+    lines
+
 let traced_case name () =
   let plain = run ~trace:false name in
   let a = run ~trace:true name in
-  check_clean a;
+  check_clean name a;
   check_complete Bench.per_layer a;
+  check_span_log name a;
   Alcotest.(check string) "traced digest = untraced" plain.digest a.digest;
   let b = run ~trace:true name in
   repeats simulated_layer a b
