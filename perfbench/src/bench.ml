@@ -353,8 +353,10 @@ let per_layer =
       ("fault.injected", "count");
       ("fault.recoveries", "count");
       ("fault.lost_frames", "count");
-      ("fault.unattributed_frames", "count");
-      ("fault.corrupted_frames", "count");
+      ("fault.soak.failed_frames", "count");
+      ("fault.soak.lost_frames", "count");
+      ("fault.soak.unattributed_frames", "count");
+      ("fault.soak.corrupted_frames", "count");
       ("host.raw_us_per_frame", "us");
       ("rewriter.derive_s", "s");
       ("setup.world_create_s", "s");
@@ -393,7 +395,7 @@ let end_to_end_values ~setup ~(seg : segment) ~win =
     ("setup_s", setup.total_s);
   ]
 
-let per_layer_values probe ~setup ~derive ~(plain : segment) ~unattributed ~corrupted
+let per_layer_values probe ~setup ~derive ~(plain : segment) ~soak
     ~(traced : segment) ~wall_ns ~window_frames ~(world : World.t) =
   let a = traced.s0 and b = traced.s1 in
   let frames = b.attempted - a.attempted in
@@ -473,8 +475,9 @@ let per_layer_values probe ~setup ~derive ~(plain : segment) ~unattributed ~corr
       ("fault.injected", float_of_int (b.injected - a.injected));
       ("fault.recoveries", float_of_int (b.recoveries - a.recoveries));
       ("fault.lost_frames", float_of_int (b.lost - a.lost));
-      ("fault.unattributed_frames", float_of_int unattributed);
-      ("fault.corrupted_frames", float_of_int corrupted);
+    ]
+  @ soak
+  @ [
       ("host.raw_us_per_frame", plain.raw_us_per_frame);
       ("rewriter.derive_s", derive);
       ("setup.world_create_s", setup.create_s);
@@ -514,10 +517,45 @@ let spans_path (spec : Workload.spec) =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   Filename.concat dir ("spans-" ^ spec.Workload.name ^ ".tsv")
 
+(* Warm-up and reference segment of the workload's soak world, shut down
+   so its frame accounting is final: frames failed, of the missing ones
+   those the fault engine counts lost and the others, and the corrupted.
+   Workloads without a soak world report zeros. *)
+let soak (spec : Workload.spec) ~seed =
+  let values ~failed ~lost ~missing ~corrupted =
+    List.map
+      (fun (name, n) -> (name, float_of_int n))
+      [
+        ("fault.soak.failed_frames", failed);
+        ("fault.soak.lost_frames", lost);
+        ("fault.soak.unattributed_frames", missing - lost);
+        ("fault.soak.corrupted_frames", corrupted);
+      ]
+  in
+  match spec.Workload.soak with
+  | None -> (values ~failed:0 ~lost:0 ~missing:0 ~corrupted:0, [])
+  | Some build ->
+      let w = build ~seed in
+      let d = spec.Workload.start (Probe.create ()) ~seed w in
+      for _ = 1 to spec.Workload.warmup + spec.Workload.reference do
+        d.Workload.step ()
+      done;
+      d.Workload.finish ();
+      Printf.eprintf
+        "fault soak: %d attempted, %d failed, %d missing (%d counted lost by \
+         the fault engine), %d corrupted\n"
+        d.Workload.tally.Workload.attempted (Workload.failed d)
+        (Workload.missing d) (World.fault_lost w) (Workload.corrupted d);
+      ( values ~failed:(Workload.failed d) ~lost:(World.fault_lost w)
+          ~missing:(Workload.missing d) ~corrupted:(Workload.corrupted d),
+        List.map
+          (fun (name, ok) -> ("fault soak: " ^ name, ok))
+          (Workload.soak_checks d) )
+
 let traced (spec : Workload.spec) ~seed ~seconds =
   (* the untraced reference segment the traced one must reproduce; its
      world then shuts down, so its frame accounting is final *)
-  let plain, st, plain_checks, unattributed, corrupted =
+  let plain, st, plain_checks =
     let plain_probe = Probe.create () in
     let w, st = setup spec ~seed in
     let d = spec.Workload.start plain_probe ~seed w in
@@ -525,13 +563,12 @@ let traced (spec : Workload.spec) ~seed ~seconds =
     d.Workload.finish ();
     ( seg,
       st,
-      List.map (fun (name, ok) -> ("untraced reference: " ^ name, ok)) (Workload.checks d),
-      Workload.missing d - World.fault_lost w,
-      Workload.corrupted d )
+      List.map (fun (name, ok) -> ("untraced reference: " ^ name, ok)) (Workload.checks d) )
   in
   let derive = if spec.Workload.derives_twin then derive_s () else 0.0 in
-  (* the untraced world is garbage now: collect it before building the
-     traced one *)
+  (* each finished world is garbage: collect it before building the next *)
+  Gc.full_major ();
+  let soak, soak_checks = soak spec ~seed in
   Gc.full_major ();
   let probe = Probe.create () in
   let w, _, _ = spec.Workload.build ~seed in
@@ -555,7 +592,7 @@ let traced (spec : Workload.spec) ~seed ~seconds =
     ]
   in
   let values =
-    per_layer_values probe ~setup:st ~derive ~plain ~unattributed ~corrupted ~traced:seg
+    per_layer_values probe ~setup:st ~derive ~plain ~soak ~traced:seg
       ~wall_ns ~window_frames ~world:w
   in
   let path = spans_path spec in
@@ -564,7 +601,7 @@ let traced (spec : Workload.spec) ~seed ~seconds =
   d.Workload.finish ();
   Td_obs.Control.disable ();
   let checks =
-    plain_checks
+    plain_checks @ soak_checks
     @ [
         ( "traced simulated counters = untraced",
           sim_equal plain.s1 seg.s1 && sim_equal plain.s0 seg.s0 );

@@ -7,8 +7,9 @@
     attempted; a frame is delivered when it reaches the wire (transmit) or
     the consumer's [rx_pop] byte for byte (receive), and failed when the
     program refuses it, raises, loses it or corrupts it. A transmit is
-    lost when the program accepted it but it never reached the wire; only
-    [fleet] arms a fault plan, and only there may frames be lost. *)
+    lost when the program accepted it but it never reached the wire. The
+    measured worlds lose no frame; only [fleet]'s soak world, armed with
+    the full fault plan, may. *)
 
 type tally = {
   mutable attempted : int;
@@ -36,8 +37,6 @@ type t = {
   finish : unit -> unit;
       (** pump, tick, shut the world down and drain every received frame;
           outstanding receives then count as failed *)
-  lossless : bool;
-      (** no fault plan: every frame must be delivered intact *)
   extra_checks : unit -> (string * bool) list;
       (** the workload's own output checks, valid after [finish] *)
 }
@@ -49,6 +48,9 @@ type spec = {
           [World.create] and in booting further guests *)
   derives_twin : bool;  (** set-up includes [Twin.derive] *)
   start : Probe.t -> seed:int -> Twindrivers.World.t -> t;
+  soak : (seed:int -> Twindrivers.World.t) option;
+      (** a world like [build]'s with the recovery soak's full fault plan
+          armed, whose lost and corrupted frames the traced run counts *)
   setup_reps : int;
   warmup : int;  (** untimed units before the reference segment *)
   reference : int;
@@ -82,6 +84,11 @@ val failed : t -> int
 (** Refused transmits, {!missing} frames and frames delivered corrupted. *)
 
 val checks : t -> (string * bool) list
-(** Named output checks: frame accounting, conservation after shutdown,
-    lossless delivery without a fault plan, consistency with the fault
-    engine under one, and the workload's [extra_checks]. *)
+(** Named output checks of a measured world: frame accounting,
+    conservation after shutdown, the workload's [extra_checks] and every
+    frame delivered intact. *)
+
+val soak_checks : t -> (string * bool) list
+(** The same for a soak world, where frames may be lost: every frame the
+    fault engine counts lost is missing and every stray receive stands
+    for a missing one, instead of every frame delivered intact. *)
