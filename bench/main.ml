@@ -746,17 +746,14 @@ let interp () =
      simulated (cycles, steps) per call identical across modes: %b\n"
     speedup speedup_compiled identical;
   Td_cpu.Interp.publish_metrics eng;
-  (* fig8-style simulated receive throughput: first watcher on vs off (the
-     stlb watcher is the only always-installed hook, so switching it off
-     via tuning puts the whole world on the closure-free fast path), then
-     the hook-free run repeated under every dispatch engine. Simulated
-     cycles per packet must not move in either dimension. *)
-  let rx ~exact ~mode =
-    let tuning =
-      { Config.default_tuning with Config.stlb_exact_hits = exact }
-    in
-    let w = World.create ~nics:1 ~tuning Config.Xen_twin in
+  (* fig8-style simulated receive throughput: the same default-tuning
+     replay under every dispatch engine. The world's stlb hit sites are
+     credited on every engine, so simulated cycles per packet, frames and
+     [stlb.hit] must not move; only host time does. *)
+  let rx mode =
+    let w = World.create ~nics:1 Config.Xen_twin in
     Td_cpu.Interp.set_dispatch (World.interp w) mode;
+    Td_obs.Metrics.reset "stlb.hit";
     let payload = String.make 1500 'r' in
     let t0 = Sys.time () in
     for i = 1 to 2000 do
@@ -771,25 +768,24 @@ let interp () =
         0 Td_xen.Ledger.categories
     in
     let frames = World.delivered_rx_frames w in
-    (float_of_int cycles /. float_of_int frames, frames, host)
+    ( float_of_int cycles /. float_of_int frames,
+      frames,
+      Td_obs.Metrics.counter_value "stlb.hit",
+      host )
   in
-  let cpp_on, frames_on, host_on = rx ~exact:true ~mode:Td_cpu.Interp.Compiled in
-  let cpp_off, frames_off, host_off =
-    rx ~exact:false ~mode:Td_cpu.Interp.Compiled
-  in
-  let cpp_blk, frames_blk, _ = rx ~exact:false ~mode:Td_cpu.Interp.Block in
-  let cpp_ps, frames_ps, _ = rx ~exact:false ~mode:Td_cpu.Interp.Per_step in
+  let cpp_cmp, frames_cmp, hits_cmp, host_cmp = rx Td_cpu.Interp.Compiled in
+  let cpp_blk, frames_blk, hits_blk, host_blk = rx Td_cpu.Interp.Block in
+  let cpp_ps, frames_ps, hits_ps, host_ps = rx Td_cpu.Interp.Per_step in
   let rx_identical =
-    cpp_on = cpp_off && cpp_on = cpp_blk && cpp_on = cpp_ps
-    && frames_on = frames_off && frames_on = frames_blk
-    && frames_on = frames_ps
+    cpp_cmp = cpp_blk && cpp_cmp = cpp_ps && frames_cmp = frames_blk
+    && frames_cmp = frames_ps
   in
+  let hits_identical = hits_cmp = hits_blk && hits_cmp = hits_ps in
   Printf.printf
-    "\nfig8-style rx, 2000 frames: %.0f cycles/pkt with the stlb watcher, \
-     %.0f without\n\
-     (identical across watcher on/off and all three engines: %b); \
-     host %.2fs -> %.2fs\n"
-    cpp_on cpp_off rx_identical host_on host_off;
+    "\nfig8-style rx, 2000 frames: %.0f cycles/pkt, %d stlb.hit\n\
+     (cycles and frames identical across engines: %b; stlb.hit identical: \
+     %b); host %.2fs compiled, %.2fs block, %.2fs per-step\n"
+    cpp_cmp hits_cmp rx_identical hits_identical host_cmp host_blk host_ps;
   bench_json "interp"
     [
       ( "host",
@@ -822,14 +818,16 @@ let interp () =
       ( "simulated_rx",
         Json.Obj
           [
-            ("frames", Json.Int frames_on);
-            ("cycles_per_packet_watcher", Json.Float cpp_on);
-            ("cycles_per_packet_hook_free", Json.Float cpp_off);
+            ("frames", Json.Int frames_cmp);
+            ("cycles_per_packet_compiled", Json.Float cpp_cmp);
             ("cycles_per_packet_block", Json.Float cpp_blk);
             ("cycles_per_packet_per_step", Json.Float cpp_ps);
             ("bit_identical_cycles", Json.Bool rx_identical);
-            ("host_s_watcher", Json.Float host_on);
-            ("host_s_hook_free", Json.Float host_off);
+            ("stlb_hits", Json.Int hits_cmp);
+            ("stlb_hits_identical", Json.Bool hits_identical);
+            ("host_s_compiled", Json.Float host_cmp);
+            ("host_s_block", Json.Float host_blk);
+            ("host_s_per_step", Json.Float host_ps);
           ] );
     ]
 

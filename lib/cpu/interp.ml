@@ -23,6 +23,7 @@ type t = {
   registry : Code_registry.t;
   natives : Native.t;
   mutable hook : (State.t -> Td_misa.Insn.t -> unit) option;
+  mutable hit_sites : (int * (int -> unit)) list;
   mutable dispatch : dispatch;
   mutable bc_gen : int;
   bc_addr : int array; (* -1 = empty slot *)
@@ -50,6 +51,7 @@ let create ?hook state registry natives =
     registry;
     natives;
     hook;
+    hit_sites = [];
     dispatch = Compiled;
     bc_gen = 0;
     bc_addr = Array.make bc_size (-1);
@@ -72,11 +74,6 @@ let create ?hook state registry natives =
 let set_dispatch t d = t.dispatch <- d
 let set_compile_threshold t n = t.compile_threshold <- max 1 n
 let set_superblock_cap t n = t.superblock_cap <- max 1 n
-
-let add_hook t h =
-  match t.hook with
-  | None -> t.hook <- Some h
-  | Some g -> t.hook <- Some (fun st insn -> g st insn; h st insn)
 
 let ret_sentinel = Semantics.ret_sentinel
 
@@ -126,6 +123,13 @@ let resolve_legacy t pc =
   | exception Not_found -> unmapped pc
   | exception Invalid_argument msg -> raise (Fault msg)
 
+let flush t =
+  Array.fill t.bc_addr 0 bc_size (-1);
+  Array.fill t.bc_prog 0 bc_size None;
+  Array.fill t.cc_addr 0 bc_size (-1);
+  Array.fill t.cc_hot 0 bc_size 0;
+  Array.fill t.cc_blk 0 bc_size None
+
 (* A program was registered or replaced: drop every cached block AND
    every compiled superblock, so a dead twin's image can never execute
    after a supervised reload — not even a closure compiled in the same
@@ -133,14 +137,40 @@ let resolve_legacy t pc =
 let check_generation t =
   let gen = Code_registry.generation t.registry in
   if t.bc_gen <> gen then begin
-    Array.fill t.bc_addr 0 bc_size (-1);
-    Array.fill t.bc_prog 0 bc_size None;
-    Array.fill t.cc_addr 0 bc_size (-1);
-    Array.fill t.cc_hot 0 bc_size 0;
-    Array.fill t.cc_blk 0 bc_size None;
+    flush t;
     t.bc_gen <- gen;
     t.invalidations <- t.invalidations + 1
   end
+
+(* Instrumentation changes what every engine must do per instruction, so
+   nothing compiled or cached before it may run again: a superblock
+   compiled without a hit site would skip that site's credit. *)
+let add_hook t h =
+  flush t;
+  match t.hook with
+  | None -> t.hook <- Some h
+  | Some g -> t.hook <- Some (fun st insn -> g st insn; h st insn)
+
+let add_hit_site t ~disp credit =
+  flush t;
+  t.hit_sites <- t.hit_sites @ [ (disp, credit) ]
+
+(* An inline stlb probe hits at [xor disp(base), reg] against a
+   registered entry's second word; the register still holds the pre-xor
+   address when the credit runs, just before the instruction. *)
+let hit_site t insn =
+  match insn with
+  | Insn.Alu (Insn.Xor, Operand.Mem m, Operand.Reg r)
+    when m.Operand.sym = None && m.Operand.base <> None -> (
+      match List.assoc_opt m.Operand.disp t.hit_sites with
+      | Some credit -> Some (r, credit)
+      | None -> None)
+  | _ -> None
+
+let credit_hit t st insn =
+  match hit_site t insn with
+  | Some (r, credit) -> credit (State.get st r)
+  | None -> ()
 
 let resolve_cached t pc =
   check_generation t;
@@ -168,23 +198,23 @@ let step t =
     | Per_step -> resolve_legacy t st.State.pc
   in
   let insn = prog.Program.code.(idx) in
+  credit_hit t st insn;
   (match t.hook with Some h -> h st insn | None -> ());
-  if
-    Td_fault.Engine.active ()
-    && Td_fault.Engine.fire Td_fault.Interp_bitflip
-  then inject_bitflip st;
+  if Td_fault.Engine.fire Td_fault.Interp_bitflip then inject_bitflip st;
   st.State.steps <- st.State.steps + 1;
   exec_insn t insn
 
-(* Watchers (profiler, stlb-hit counter, fault injection) need to observe
-   every instruction; without them dispatch is closure-free. Hooks are
-   installed and fault plans change only outside driver execution, and a
-   [Call] ends a block, so checking once per control transfer is exactly
-   equivalent to the old per-instruction checks. *)
+(* A hook (the profiler) or an armed bit-flip site needs to observe
+   every instruction; hit sites do not, since every engine credits them
+   itself. Hooks are installed and fault plans change only outside driver
+   execution, and a [Call] ends a block, so checking once per control
+   transfer is exactly equivalent to the old per-instruction checks. The
+   other fault sites fire in natives and device models, which every
+   engine reaches in the same order. *)
 let needs_slow_path t =
   (match t.hook with Some _ -> true | None -> false)
   || (match t.dispatch with Per_step -> true | Block | Compiled -> false)
-  || Td_fault.Engine.active ()
+  || Td_fault.Engine.armed Td_fault.Interp_bitflip
 
 (* straight-line fast path: resolve once, execute to the end of the
    basic block by array index. In-block instructions only fall through
@@ -207,7 +237,9 @@ let exec_block t =
   let i = ref idx in
   try
     while !i <= last do
-      Semantics.exec_insn ~natives st (Array.unsafe_get code !i);
+      let insn = Array.unsafe_get code !i in
+      credit_hit t st insn;
+      Semantics.exec_insn ~natives st insn;
       incr i
     done
   with e ->
@@ -218,7 +250,8 @@ let compile_at t pc =
   match resolve_uncached t pc with
   | prog, idx ->
       Superblock.compile ~natives:t.natives ~costs:t.state.State.costs
-        ~elided:t.stlb_elided ~cap:t.superblock_cap prog idx
+        ~elided:t.stlb_elided ~hit_site:(hit_site t) ~cap:t.superblock_cap
+        prog idx
   | exception Fault _ -> None
 
 (* Compiled dispatch: count the entry hot, promote it to a superblock at

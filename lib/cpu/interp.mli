@@ -38,6 +38,7 @@ type t = {
   registry : Code_registry.t;
   natives : Native.t;
   mutable hook : (State.t -> Td_misa.Insn.t -> unit) option;
+  mutable hit_sites : (int * (int -> unit)) list;
   mutable dispatch : dispatch;
   mutable bc_gen : int;
   bc_addr : int array;
@@ -78,9 +79,19 @@ val add_hook : t -> (State.t -> Td_misa.Insn.t -> unit) -> unit
 (** Compose a per-instruction hook with any already installed (existing
     hooks run first). Hooks fire before the instruction executes, so
     register reads observe pre-execution state. Use this instead of
-    assigning [hook] directly — a profiler and an instrumentation watcher
-    must not clobber each other. Installing any hook forces the
-    per-instruction slow path (see {!call}). *)
+    assigning [hook] directly, so two hooks (e.g. two profilers) do not
+    clobber each other. Installing any hook forces the per-instruction
+    slow path (see {!call}) and flushes the block and compiled caches. *)
+
+val add_hit_site : t -> disp:int -> (int -> unit) -> unit
+(** [add_hit_site t ~disp credit] registers an inline stlb probe's hit
+    site: every [xor disp(base), reg] with a resolved displacement equal
+    to [disp] (an stlb's base + 4) calls [credit] with [reg]'s pre-xor
+    value just before the instruction executes, on every dispatch engine
+    — compiled superblocks included, so hit sites do not force the slow
+    path. The first site registered for a displacement wins. Flushes the
+    block and compiled caches, so no block compiled earlier can skip a
+    credit. *)
 
 val ret_sentinel : int
 (** Pseudo return address marking the bottom of a simulated call; popping
@@ -92,11 +103,13 @@ val call : ?max_steps:int -> t -> entry:int -> args:int list -> int
     [ESP] must already point to a valid stack. Default [max_steps] is
     1_000_000. The budget is charged per executed instruction and per
     [rep] string element, so a corrupted huge ECX times out rather than
-    spinning forever. With a hook installed or a fault plan active,
-    execution takes the per-instruction slow path regardless of the
-    dispatch mode; otherwise it proceeds a basic block — or a compiled
-    superblock — at a time. Simulated cycles, steps and metrics are
-    identical on every path, only host wall-clock differs. *)
+    spinning forever. With a hook installed or a fault plan that arms
+    the [interp_bitflip] site ({!Td_fault.Engine.armed}), execution takes
+    the per-instruction slow path regardless of the dispatch mode;
+    otherwise it proceeds a basic block — or a compiled superblock — at a
+    time, hit sites ({!add_hit_site}) included. Simulated cycles, steps
+    and metrics are identical on every path, only host wall-clock
+    differs. *)
 
 val exec_insn : t -> Td_misa.Insn.t -> unit
 (** Execute one instruction (for tests); [state.pc] must identify it. *)

@@ -598,7 +598,7 @@ type t = {
 let entry_pc blk = blk.entry_pc
 let max_steps blk = blk.max_steps
 
-let compile ~natives ~costs ~elided ~cap (prog : Program.t) idx =
+let compile ~natives ~costs ~elided ~hit_site ~cap (prog : Program.t) idx =
   let trace, exit_pc = build_trace ~cap prog idx in
   match trace with
   | [] -> None
@@ -652,9 +652,20 @@ let compile ~natives ~costs ~elided ~cap (prog : Program.t) idx =
                   ~pslot:exc_slot.(s) ~pc:target
               in
               fun st -> if Semantics.cond_true st c then taken st else k st
-          | K_straight ->
-              gen_straight ctx ~natives ~flags:(not (elide_flags ents s))
-                e.e_insn k
+          | K_straight -> (
+              let op =
+                gen_straight ctx ~natives ~flags:(not (elide_flags ents s))
+                  e.e_insn k
+              in
+              (* an inline stlb probe's hit: credit it with the pre-xor
+                 register value, just as per-step execution does *)
+              match hit_site e.e_insn with
+              | Some (r, credit) ->
+                  let ri = Reg.index r in
+                  fun st ->
+                    credit (rd st ri);
+                    op st
+              | None -> op)
         in
         (* only faulting-capable steps pay for position tracking *)
         let op =

@@ -24,14 +24,17 @@ val compile :
   natives:Native.t ->
   costs:Cost_model.t ->
   elided:int ref ->
+  hit_site:(Td_misa.Insn.t -> (Td_misa.Reg.t * (int -> unit)) option) ->
   cap:int ->
   Td_misa.Program.t ->
   int ->
   t option
-(** [compile ~natives ~costs ~elided ~cap prog idx] lowers the trace
-    starting at instruction [idx] of [prog], following at most [cap]
-    instructions. [elided] is bumped once per stlb translation skipped
-    at run time (the [interp.stlb_elided] gauge). Returns [None] when
+(** [compile ~natives ~costs ~elided ~hit_site ~cap prog idx] lowers the
+    trace starting at instruction [idx] of [prog], following at most
+    [cap] instructions. [elided] is bumped once per stlb translation
+    skipped at run time (the [interp.stlb_elided] gauge). An instruction
+    for which [hit_site] returns [Some (r, credit)] calls [credit] with
+    [r]'s value just before it executes. Returns [None] when
     the first instruction is itself a terminator the closure cannot
     fuse — the caller should never retry that address. *)
 

@@ -5,7 +5,8 @@
     (domain-local storage) that {!Engine.install}/{!Engine.clear} set
     directly and {!Engine.with_state} scopes around a callback. Runtime
     layers that host an injection site ask {!Engine.fire} on their hot
-    path, guarded by {!Engine.active}, so a run without a visible
+    path, guarded by {!Engine.active} (the interpreter, whose only site
+    is [Interp_bitflip], by {!Engine.armed}), so a run without a visible
     engine executes exactly the pre-fault instruction stream —
     bit-identical ledgers, wire traffic and traces. A [World] that
     carries a private engine scopes it around its entry points, so N
@@ -81,6 +82,11 @@ module Engine : sig
   val plan : unit -> plan option
   val active : unit -> bool
   (** An engine is visible and injection is not {!suspend}ed. *)
+
+  val armed : site -> bool
+  (** {!active} and [site]'s rate is above [0.]: {!fire} may inject at
+      [site]. A rate-[0.] site never draws from its stream, so code that
+      hosts only that site can treat an unarmed engine as absent. *)
 
   val fire : site -> bool
   (** One injection opportunity at [site]. [true] means the caller must

@@ -490,6 +490,75 @@ let test_compiled_stlb_elision () =
   check bool_c "compiled run elided stlb translations" true (elided > 0);
   check int_c "per-step run elides nothing" 0 elided_ps
 
+(* An inline stlb probe's hit shape: [xor 4(%edx), %eax] with EAX still
+   holding the pre-xor address. *)
+let hit_site_machine () =
+  let m = Harness.make_machine () in
+  let buf = Td_mem.Addr_space.heap_alloc m.Harness.dom0 64 in
+  let b = Builder.create "probe" in
+  Builder.label b "entry";
+  Builder.movl b (Builder.imm buf) (Builder.reg Reg.EDX);
+  Builder.movl b (Builder.imm 0x5A5A) (Builder.mem ~base:Reg.EDX 4);
+  Builder.movl b (Builder.imm 0x1234) (Builder.reg Reg.EAX);
+  Builder.xorl b (Builder.mem ~base:Reg.EDX 4) (Builder.reg Reg.EAX);
+  Builder.ret b;
+  let prog =
+    Program.assemble ~base:Td_mem.Layout.vm_driver_code_base (Builder.finish b)
+  in
+  Code_registry.register m.Harness.registry prog;
+  let st = Harness.dom0_cpu m in
+  let interp = Harness.interp_of m st in
+  Interp.set_compile_threshold interp 1;
+  (st, interp, Program.addr_of_label prog "entry")
+
+let test_hit_site_every_engine () =
+  let run_mode dispatch =
+    let st, interp, entry = hit_site_machine () in
+    Interp.set_dispatch interp dispatch;
+    let credits = ref [] in
+    Interp.add_hit_site interp ~disp:4 (fun v -> credits := v :: !credits);
+    Interp.add_hit_site interp ~disp:8 (fun _ -> credits := -1 :: !credits);
+    let r = ref 0 in
+    for _ = 1 to 3 do
+      r := Interp.call interp ~entry ~args:[]
+    done;
+    (!r, !credits, st.State.cycles, st.State.steps, Interp.compiled_hits interp)
+  in
+  let ((r, credits, _, _, hits) as compiled) = run_mode Interp.Compiled in
+  let strip (r, c, cy, s, _) = (r, c, cy, s) in
+  check int_c "xor result" (0x1234 lxor 0x5A5A) r;
+  check (Alcotest.list int_c) "one credit per call, pre-xor value"
+    [ 0x1234; 0x1234; 0x1234 ] credits;
+  check bool_c "credited from compiled code" true (hits >= 1);
+  check bool_c "block engine identical" true
+    (strip compiled = strip (run_mode Interp.Block));
+  check bool_c "per-step engine identical" true
+    (strip compiled = strip (run_mode Interp.Per_step))
+
+(* Regression: a superblock compiled before a hit site was registered
+   must not run again, or it would skip the site's credit; installing a
+   hook flushes the caches the same way. *)
+let test_registration_flushes_compiled () =
+  let _, interp, entry = hit_site_machine () in
+  for _ = 1 to 3 do
+    ignore (Interp.call interp ~entry ~args:[])
+  done;
+  check bool_c "compiled closure ran" true (Interp.compiled_hits interp >= 1);
+  let credits = ref 0 in
+  Interp.add_hit_site interp ~disp:4 (fun _ -> incr credits);
+  ignore (Interp.call interp ~entry ~args:[]);
+  check int_c "site registered after compilation is credited" 1 !credits;
+  ignore (Interp.call interp ~entry ~args:[]);
+  check int_c "and credited by the recompiled block" 2 !credits;
+  let misses = Interp.block_misses interp in
+  let seen = ref 0 in
+  Interp.add_hook interp (fun _ _ -> incr seen);
+  ignore (Interp.call interp ~entry ~args:[]);
+  check bool_c "hook installation flushed the block cache" true
+    (Interp.block_misses interp > misses);
+  check int_c "hook saw every instruction" 5 !seen;
+  check int_c "hit site still credited under the hook" 3 !credits
+
 let suite =
   [
     Alcotest.test_case "mov imm" `Quick test_mov_imm;
@@ -525,4 +594,8 @@ let suite =
       test_compiled_invalidation_on_replace;
     Alcotest.test_case "compiled stlb elision" `Quick
       test_compiled_stlb_elision;
+    Alcotest.test_case "hit site credited on every engine" `Quick
+      test_hit_site_every_engine;
+    Alcotest.test_case "registration flushes compiled code" `Quick
+      test_registration_flushes_compiled;
   ]

@@ -222,6 +222,85 @@ let test_misaligned_jump_recovery_cycle () =
   check int_c "reloaded image executes on the warm interpreter" 42
     (Td_cpu.Interp.call interp ~entry ~args:[])
 
+(* --- plans without interpreter bit-flips stay on the compiled tier --- *)
+
+(* Every site but the interpreter's, at rates that fire several times in
+   a short restart-replay run. *)
+let device_plan =
+  {
+    Td_fault.seed = 23;
+    svm_wild_access = 0.05;
+    interp_bitflip = 0.;
+    nic_stuck_dma = 0.01;
+    nic_lost_irq = 0.05;
+    nic_corrupt_rx = 0.02;
+    upcall_fail = 0.01;
+  }
+
+let plan_run plan dispatch =
+  let tuning =
+    { Config.default_tuning with Config.recovery = Config.Restart_replay }
+  in
+  let w = World.create ~nics:2 ~tuning Config.Xen_twin in
+  let interp = World.interp w in
+  Td_cpu.Interp.set_dispatch interp dispatch;
+  let hits0 = Td_cpu.Interp.compiled_hits interp in
+  let under_plan f = match plan with Some p -> with_plan p f | None -> f () in
+  under_plan (fun () ->
+      for i = 0 to 119 do
+        ignore (World.transmit w ~nic:(i mod 2) ~payload);
+        World.inject_rx w ~nic:(i mod 2) ~payload;
+        if i mod 8 = 7 then begin
+          World.pump w;
+          World.tick w
+        end
+      done;
+      World.pump w;
+      World.tick w;
+      ( ( List.map (Td_xen.Ledger.total (World.ledger w)) Td_xen.Ledger.categories,
+          World.wire_tx_frames w,
+          World.delivered_rx_frames w,
+          List.map
+            (fun site -> (site, Td_fault.Engine.injected_at site))
+            Td_fault.all_sites,
+          Td_fault.Engine.lost_frames () ),
+        Td_cpu.Interp.compiled_hits interp - hits0 ))
+
+(* Recovery runs with injection suspended, so it took the compiled tier
+   even before; the rest of the run must take it too. *)
+let test_device_plan_compiled () =
+  let plan = Some device_plan in
+  let compiled, compiled_hits = plan_run plan Td_cpu.Interp.Compiled in
+  let per_step, _ = plan_run plan Td_cpu.Interp.Per_step in
+  let _, unplanned_hits = plan_run None Td_cpu.Interp.Compiled in
+  let _, _, _, injected, _ = compiled in
+  check bool_c "runs on compiled superblocks like an unplanned run" true
+    (2 * compiled_hits >= unplanned_hits);
+  check int_c "no interpreter bit-flip" 0
+    (List.assoc Td_fault.Interp_bitflip injected);
+  check bool_c "at least four sites fired" true
+    (List.length (List.filter (fun (_, n) -> n > 0) injected) >= 4);
+  check bool_c "ledger, frames, per-site injections, losses as per-step" true
+    (compiled = per_step)
+
+(* An armed bit-flip site keeps every engine on the per-instruction path,
+   injecting exactly what it injected before the compiled tier could run
+   under a plan: the golden figures below come from that code. *)
+let test_bitflip_plan_unchanged () =
+  let plan = Some { device_plan with Td_fault.interp_bitflip = 2e-4 } in
+  let compiled, _ = plan_run plan Td_cpu.Interp.Compiled in
+  let per_step, _ = plan_run plan Td_cpu.Interp.Per_step in
+  let ledger, tx, rx, injected, lost = compiled in
+  check bool_c "compiled mode identical to per-step" true (compiled = per_step);
+  check bool_c "bit-flips injected" true
+    (List.assoc Td_fault.Interp_bitflip injected > 0);
+  check int_c "golden ledger total" 2_867_400 (List.fold_left ( + ) 0 ledger);
+  check int_c "golden wire frames" 118 tx;
+  check int_c "golden delivered frames" 77 rx;
+  check (Alcotest.list int_c) "golden injections per site"
+    [ 4; 34; 1; 15; 4; 0 ] (List.map snd injected);
+  check int_c "golden lost frames" 6 lost
+
 (* --- typed guest faults --- *)
 
 let bare_hypervisor () =
@@ -278,6 +357,10 @@ let suite =
     Alcotest.test_case "soak availability" `Quick test_soak_availability;
     Alcotest.test_case "misaligned jump recovery cycle" `Quick
       test_misaligned_jump_recovery_cycle;
+    Alcotest.test_case "device-only plan runs compiled" `Quick
+      test_device_plan_compiled;
+    Alcotest.test_case "bit-flip plan unchanged" `Quick
+      test_bitflip_plan_unchanged;
     Alcotest.test_case "guest fault: bad grant ref" `Quick
       test_guest_fault_bad_grant;
     Alcotest.test_case "no-domains error names op" `Quick

@@ -178,7 +178,7 @@ let test_obs_counters () =
           | Td_obs.Trace.Window_reclaim _ -> true
           | _ -> false)))
 
-(* the interpreter watcher credits inline fast-path hits, so a twin
+(* the interpreter's hit sites credit inline fast-path hits, so a twin
    transmit run shows far more stlb.hit than the handful the host-side
    translate calls used to account for *)
 let test_inline_hits_credited () =
