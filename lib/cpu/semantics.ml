@@ -20,14 +20,12 @@ let charge_access st addr w =
   if not (Tlb.access st.State.tlb (Td_mem.Layout.page_of addr)) then
     cost := !cost + st.State.costs.Cost_model.tlb_miss;
   (let space = State.space_for st addr in
-   match
-     Td_mem.Addr_space.frame_of_vpage space ~vpage:(Td_mem.Layout.page_of addr)
-   with
-   | Some frame ->
+   match Td_mem.Addr_space.lookup space ~vpage:(Td_mem.Layout.page_of addr) with
+   | Some (Td_mem.Addr_space.Frame frame) ->
        let paddr = (frame * Td_mem.Layout.page_size) + Td_mem.Layout.offset_of addr in
        if not (Cache.access st.State.cache paddr) then
          cost := !cost + st.State.costs.Cost_model.cache_miss
-   | None ->
+   | Some (Td_mem.Addr_space.Device _) | None ->
        (* device page or unmapped (the access itself will fault if
           unmapped); MMIO is an uncached PCI transaction *)
        cost := !cost + st.State.costs.Cost_model.mmio);

@@ -21,8 +21,10 @@
 
    - redundant stlb translations are eliminated: two accesses through
      the same base register to the same page reuse the translated
-     frame, skipping the page-table walks while still driving the TLB
-     and cache models with the exact per-access arguments.
+     frame, skipping the page-table walk (two array loads in the
+     address space's radix table, one in the frame table) while still
+     driving the TLB and cache models with the exact per-access
+     arguments.
 
    Abort accounting: a fault inside the closure charges the cycles,
    steps and fuel of the prefix up to and including the faulting
@@ -187,16 +189,8 @@ type ctx = {
   c_costs : Cost_model.t;
   c_stamp : int ref;
   c_elided : int ref;
-  c_slots : (int, slot) Hashtbl.t; (* base-register index -> memo *)
+  c_slots : slot array; (* base-register index -> memo *)
 }
-
-let slot_for ctx ri =
-  match Hashtbl.find_opt ctx.c_slots ri with
-  | Some s -> s
-  | None ->
-      let s = { s_stamp = -1; s_page = -1; s_frame = 0; s_bytes = Bytes.empty } in
-      Hashtbl.add ctx.c_slots ri s;
-      s
 
 (* Memoisable access: one base register, no index, resolved symbol, full
    width. Everything else takes the ordinary [Semantics] path. *)
@@ -269,7 +263,7 @@ let gen_load32 ctx (m : Operand.mem) : State.t -> int =
   match memo_mem m with
   | None -> fun st -> Semantics.load st (Semantics.addr_of_mem st m) Width.W32
   | Some (ri, disp) ->
-      let slot = slot_for ctx ri in
+      let slot = ctx.c_slots.(ri) in
       let costs = ctx.c_costs in
       let stamp = ctx.c_stamp in
       let elided = ctx.c_elided in
@@ -281,7 +275,7 @@ let gen_load32 ctx (m : Operand.mem) : State.t -> int =
           if slot.s_stamp = !stamp && slot.s_page = page then begin
             (* translation reused: the TLB and cache models still see
                the access (simulated cycles are bit-identical), only the
-               two page-table hashtable walks are skipped *)
+               radix-table and frame-table loads are skipped *)
             let cost = ref costs.Cost_model.mem_access in
             if not (Tlb.access st.State.tlb page) then
               cost := !cost + costs.Cost_model.tlb_miss;
@@ -301,7 +295,7 @@ let gen_store32 ctx (m : Operand.mem) : State.t -> int -> unit =
   | None ->
       fun st v -> Semantics.store st (Semantics.addr_of_mem st m) Width.W32 v
   | Some (ri, disp) ->
-      let slot = slot_for ctx ri in
+      let slot = ctx.c_slots.(ri) in
       let costs = ctx.c_costs in
       let stamp = ctx.c_stamp in
       let elided = ctx.c_elided in
@@ -626,7 +620,9 @@ let compile ~natives ~costs ~elided ~hit_site ~cap (prog : Program.t) idx =
       let stamp = ref 0 and cur = ref 0 in
       let ctx =
         { c_costs = costs; c_stamp = stamp; c_elided = elided;
-          c_slots = Hashtbl.create 4 }
+          c_slots =
+            Array.init 8 (fun _ ->
+                { s_stamp = -1; s_page = -1; s_frame = 0; s_bytes = Bytes.empty }) }
       in
       let mk_exit ~steps ~cycles ~pslot ~pc st =
         st.State.cycles <- st.State.cycles + cycles;

@@ -16,31 +16,82 @@ let () =
              space requested)
     | _ -> None)
 
+(* Two-level radix table over the 20-bit vpage: a 1024-entry directory
+   of lazily allocated 1024-entry leaves. Every absent leaf is the shared
+   all-[None] [no_leaf], which [map] replaces before writing, so a lookup
+   is a range check and two array loads. Leaves hold the option [map]
+   built, so [lookup] allocates nothing. *)
+let leaf_bits = 10
+let leaf_size = 1 lsl leaf_bits
+let vpages = Layout.addr_limit lsr Layout.page_shift
+let no_leaf : mapping option array = Array.make leaf_size None
+
 type t = {
   name : string;
   phys : Phys_mem.t;
-  table : (int, mapping) Hashtbl.t;
+  dir : mapping option array array;
+  mutable mapped : int;
   mutable heap_next : int;
   mutable heap_limit : int;
 }
 
 let create ~name phys =
-  { name; phys; table = Hashtbl.create 256; heap_next = 0; heap_limit = 0 }
+  {
+    name;
+    phys;
+    dir = Array.make (vpages lsr leaf_bits) no_leaf;
+    mapped = 0;
+    heap_next = 0;
+    heap_limit = 0;
+  }
 
 let name t = t.name
 let phys t = t.phys
-let map t ~vpage frame = Hashtbl.replace t.table vpage (Frame frame)
-let map_device t ~vpage dev = Hashtbl.replace t.table vpage (Device dev)
-let unmap t ~vpage = Hashtbl.remove t.table vpage
-let lookup t ~vpage = Hashtbl.find_opt t.table vpage
-let is_mapped t ~vpage = Hashtbl.mem t.table vpage
+let in_range vpage = vpage >= 0 && vpage < vpages
+
+let lookup t ~vpage =
+  if in_range vpage then
+    Array.unsafe_get
+      (Array.unsafe_get t.dir (vpage lsr leaf_bits))
+      (vpage land (leaf_size - 1))
+  else None
+
+let set t vpage m =
+  if not (in_range vpage) then
+    invalid_arg
+      (Printf.sprintf "Addr_space.map(%s): vpage 0x%x outside the table" t.name
+         vpage);
+  let d = vpage lsr leaf_bits in
+  let leaf =
+    let l = t.dir.(d) in
+    if l != no_leaf then l
+    else begin
+      let l = Array.make leaf_size None in
+      t.dir.(d) <- l;
+      l
+    end
+  in
+  let i = vpage land (leaf_size - 1) in
+  if Option.is_none leaf.(i) then t.mapped <- t.mapped + 1;
+  leaf.(i) <- m
+
+let map t ~vpage frame = set t vpage (Some (Frame frame))
+let map_device t ~vpage dev = set t vpage (Some (Device dev))
+
+let unmap t ~vpage =
+  if Option.is_some (lookup t ~vpage) then begin
+    t.dir.(vpage lsr leaf_bits).(vpage land (leaf_size - 1)) <- None;
+    t.mapped <- t.mapped - 1
+  end
+
+let is_mapped t ~vpage = Option.is_some (lookup t ~vpage)
 
 let frame_of_vpage t ~vpage =
   match lookup t ~vpage with
   | Some (Frame f) -> Some f
   | Some (Device _) | None -> None
 
-let mapped_pages t = Hashtbl.length t.table
+let mapped_pages t = t.mapped
 
 let alloc_page t ~vpage =
   let f = Phys_mem.alloc_frame t.phys in
@@ -100,9 +151,7 @@ let read_block t addr len =
     let chunk = min (len - !pos) (Layout.page_size - Layout.offset_of a) in
     (match mapping_of t a with
     | Frame f ->
-        Bytes.blit
-          (Phys_mem.read_bytes t.phys f (Layout.offset_of a) chunk)
-          0 out !pos chunk
+        Bytes.blit (Phys_mem.page t.phys f) (Layout.offset_of a) out !pos chunk
     | Device d ->
         for i = 0 to chunk - 1 do
           Bytes.set out (!pos + i)
@@ -120,8 +169,7 @@ let write_block t addr src =
     let chunk = min (len - !pos) (Layout.page_size - Layout.offset_of a) in
     (match mapping_of t a with
     | Frame f ->
-        Phys_mem.write_bytes t.phys f (Layout.offset_of a)
-          (Bytes.sub src !pos chunk)
+        Bytes.blit src !pos (Phys_mem.page t.phys f) (Layout.offset_of a) chunk
     | Device d ->
         for i = 0 to chunk - 1 do
           d.dev_write
@@ -132,20 +180,25 @@ let write_block t addr src =
     pos := !pos + chunk
   done
 
-(* Snapshot-and-sort so traversal (and anything built from it, like the
-   free list a bulk release rebuilds) is deterministic regardless of the
-   hash table's internal order. *)
+(* Ascending vpage order falls out of the table's layout, so anything
+   built from the walk (like the free list a bulk release rebuilds) is
+   deterministic. *)
 let iter_frames t f =
-  Hashtbl.fold
-    (fun vpage m acc ->
-      match m with Frame fr -> (vpage, fr) :: acc | Device _ -> acc)
-    t.table []
-  |> List.sort compare
-  |> List.iter (fun (vpage, fr) -> f ~vpage fr)
+  Array.iteri
+    (fun d leaf ->
+      if leaf != no_leaf then
+        Array.iteri
+          (fun i m ->
+            match m with
+            | Some (Frame fr) -> f ~vpage:((d lsl leaf_bits) lor i) fr
+            | Some (Device _) | None -> ())
+          leaf)
+    t.dir
 
 let release t =
   iter_frames t (fun ~vpage:_ fr -> Phys_mem.free_frame t.phys fr);
-  Hashtbl.reset t.table;
+  Array.fill t.dir 0 (Array.length t.dir) no_leaf;
+  t.mapped <- 0;
   t.heap_next <- 0;
   t.heap_limit <- 0
 

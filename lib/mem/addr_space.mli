@@ -21,15 +21,27 @@ exception Heap_exhausted of { space : string; requested : int }
     the heap aborts that driver instance instead of the simulation. *)
 
 type t
+(** A page table over the 2{^ 20} vpages of the 32-bit space,
+    [0 <= vpage < Layout.addr_limit / Layout.page_size]. *)
 
 val create : name:string -> Phys_mem.t -> t
 val name : t -> string
 val phys : t -> Phys_mem.t
 
 val map : t -> vpage:int -> Phys_mem.frame -> unit
+(** Map (or re-map) [vpage]. Raises [Invalid_argument], naming the
+    space, for a vpage outside the table. *)
+
 val map_device : t -> vpage:int -> device -> unit
+(** As {!map}, for a device page. *)
+
 val unmap : t -> vpage:int -> unit
+(** No-op on an unmapped or out-of-range vpage. *)
+
 val lookup : t -> vpage:int -> mapping option
+(** Allocation-free: returns the option {!map} stored. A vpage outside
+    the table is unmapped, so accesses there raise {!Page_fault}. *)
+
 val is_mapped : t -> vpage:int -> bool
 val frame_of_vpage : t -> vpage:int -> Phys_mem.frame option
 (** [None] for unmapped or device pages. *)
@@ -53,8 +65,9 @@ val write_block : t -> int -> bytes -> unit
 
 val iter_frames : t -> (vpage:int -> Phys_mem.frame -> unit) -> unit
 (** Visit every frame-backed mapping in ascending [vpage] order (device
-    pages are skipped). The order is deterministic — independent of hash
-    internals — so bulk teardown reproduces bit-identically. *)
+    pages are skipped). The order is the table's own layout, so bulk
+    teardown reproduces bit-identically. [f] must not map or unmap
+    pages of [t]. *)
 
 val release : t -> unit
 (** Destroy the space's contents: return every backing frame to the

@@ -21,19 +21,29 @@ val create : ?frames:int -> unit -> t
 (** Fresh memory with the given capacity (default 65536 frames = 256 MiB). *)
 
 val alloc_frame : t -> frame
-(** Allocate a zeroed frame. Raises {!Out_of_frames} when memory is
-    exhausted. *)
+(** Allocate a zeroed frame: the most recently freed one if any (LIFO),
+    else the next never-used number, starting at 1. Raises
+    {!Out_of_frames} when memory is exhausted. *)
 
 val free_frame : t -> frame -> unit
+(** No-op on a frame that is not allocated. *)
+
 val frames_allocated : t -> int
 
 val page : t -> frame -> bytes
-(** The backing buffer of an allocated frame. Exposed for the
-    interpreter's compiled superblocks, which cache the buffer of a
-    just-translated page so repeated accesses through the same base
-    register skip the page-table walk; the buffer stays valid (and
-    observes concurrent DMA writes) for as long as the frame is
-    allocated. Raises {!Bad_frame} on an unallocated frame. *)
+(** The backing buffer of an allocated frame. Exposed for block copies
+    and for the interpreter's compiled superblocks, which cache the
+    buffer of a just-translated page so repeated accesses through the
+    same base register skip the page-table walk.
+
+    Stability: a frame gets its own buffer on its first write or [page]
+    call (until then it reads as zeros without one), and from then on
+    that buffer is the frame's memory for as long as the frame stays
+    allocated — every read, write and DMA through any address space goes
+    to it. Freeing the frame detaches it; a later {!alloc_frame} of the
+    same number starts again from zeros, so a stale holder never sees the
+    new owner's data. Raises {!Bad_frame} on an unallocated, freed or
+    negative frame. *)
 
 val read : t -> frame -> int -> Td_misa.Width.t -> int
 (** [read mem f off w] reads a little-endian value of width [w] at byte
