@@ -573,7 +573,12 @@ let fleet () =
   (* the acceptance soak: 200 domains, >= 1M frames of mixed traffic
      under quotas + a fault plan with runtime churn, run twice — the CI
      gate reads availability, conservation and the determinism bit *)
-  let r = Experiments.fleet () in
+  let runs = 2 in
+  let t0 = Unix.gettimeofday () in
+  let r = Experiments.fleet ~runs () in
+  (* host wall-clock is informational: it stays off stdout, which must be
+     byte-identical across machines *)
+  let wall_s = Unix.gettimeofday () -. t0 in
   Printf.printf
     "%d domains (%d live at end), %d frames (%d tx offered, %d rx \
      injected)\n"
@@ -620,6 +625,9 @@ let fleet () =
       ("dangling_doorbells", Json.Int r.Experiments.fl_dangling_doorbells);
       ("deterministic", Json.Bool r.Experiments.fl_deterministic);
       ("digest", Json.String r.Experiments.fl_digest);
+      ("wall_s", Json.Float wall_s);
+      ( "frames_per_s",
+        Json.Float (float_of_int (runs * r.Experiments.fl_frames) /. wall_s) );
     ]
 
 (* ---- interp: host wall-clock throughput of the execution engine ---- *)

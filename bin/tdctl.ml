@@ -609,19 +609,12 @@ let quotas_cmd =
     Format.printf "@.%-10s %-18s %8s %10s@." "domain" "resource" "inuse"
       "throttled";
     List.iter
-      (fun domain ->
-        List.iter
-          (fun res ->
-            let inuse = Td_xen.Quota.inuse ~domain res in
-            let thr = Td_xen.Quota.throttled_for ~domain res in
-            if inuse > 0 || thr > 0 then
-              Format.printf "%-10s %-18s %8d %10d@." domain
-                (Td_xen.Quota.resource_name res)
-                inuse thr)
-          Td_xen.Quota.all_resources)
-      (Td_xen.Quota.domains ());
-    Format.printf "@.total throttled   %d@." (Td_xen.Quota.throttled ());
-    Td_xen.Quota.clear ();
+      (fun (q : Td_xen.Quota.row) ->
+        Format.printf "%-10s %-18s %8d %10d@." q.domain
+          (Td_xen.Quota.resource_name q.resource)
+          q.inuse q.throttled)
+      r.Td_adv.Fuzz.quota_rows;
+    Format.printf "@.total throttled   %d@." r.Td_adv.Fuzz.quota_throttled;
     if r.Td_adv.Fuzz.violations = [] then 0 else 1
   in
   let doc =

@@ -10,6 +10,8 @@ type report = {
   churned : int;  (** ephemeral domains created (and later destroyed) *)
   checksum : int;  (** deterministic fold over (surface, outcome) *)
   violations : string list;  (** empty on a clean run *)
+  quota_rows : Quota.row list;  (** the rig's quota engine at the end *)
+  quota_throttled : int;
 }
 
 (* 63-bit xorshift, one independent stream per fuzz surface plus a master
@@ -304,7 +306,7 @@ let churn_destroy (env : Harness.env) cs ((dom, space, io) as entry) violations
         (Domain.name dom) (Xen_netio.grants_active io)
       :: !violations;
   Hypervisor.remove_domain env.hyp dom;
-  Quota.forget ~domain:(Domain.name dom);
+  Quota.forget (Hypervisor.quota env.hyp) ~domain:(Domain.name dom);
   Td_mem.Addr_space.release space;
   cs.churn_live <- List.filter (fun e -> e != entry) cs.churn_live;
   cs.churn_dead <- keep 8 (io :: cs.churn_dead)
@@ -451,6 +453,7 @@ let run ?(seed = 1) ?quota ~ops () =
     Harness.isolation_violations env
     @ Harness.conservation_violations env
     @ !violations;
+  let engine = Hypervisor.quota env.hyp in
   let report =
     {
       ops;
@@ -461,6 +464,8 @@ let run ?(seed = 1) ?quota ~ops () =
       churned = cs.churn_count;
       checksum = !checksum;
       violations = List.rev !violations;
+      quota_rows = Option.fold ~none:[] ~some:Quota.rows engine;
+      quota_throttled = Option.fold ~none:0 ~some:Quota.throttled engine;
     }
   in
   if Td_obs.Control.enabled () then begin

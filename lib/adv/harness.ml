@@ -67,7 +67,16 @@ let make ?quota ?(attacker_doorbell = true) () =
     ~limit:Td_mem.Layout.guest_heap_limit;
   let ledger = Ledger.create () in
   let cpu = Td_cpu.State.create ~hyp_space dom0_space in
-  let hyp = Hypervisor.create ~ledger ~xen_space:hyp_space ~cpu () in
+  (* the quota engine rides on the hypervisor, so every allocation below
+     is accounted like a real boot would be; dom0 is exempt (see World) *)
+  let quota =
+    Option.map
+      (Quota.make
+         ~now:(fun () -> float_of_int (Ledger.grand_total ledger) /. 3e9)
+         ~exempt:[ "dom0" ])
+      quota
+  in
+  let hyp = Hypervisor.create ?quota ~ledger ~xen_space:hyp_space ~cpu () in
   let dom0 =
     Domain.create ~id:0 ~name:"dom0" ~kind:Domain.Driver_domain
       ~space:dom0_space
@@ -81,14 +90,6 @@ let make ?quota ?(attacker_doorbell = true) () =
   Hypervisor.add_domain hyp dom0;
   Hypervisor.add_domain hyp victim;
   Hypervisor.add_domain hyp attacker;
-  (* quotas first, so every allocation below is accounted like a real
-     boot would be; dom0 is exempt (see World) *)
-  (match quota with
-  | Some l ->
-      Quota.install
-        ~now:(fun () -> float_of_int (Ledger.grand_total ledger) /. 3e9)
-        ~exempt:[ "dom0" ] l
-  | None -> Quota.clear ());
   let svm =
     Td_svm.Runtime.create_hypervisor ~dom0:dom0_space ~hyp:hyp_space ()
   in
@@ -97,18 +98,18 @@ let make ?quota ?(attacker_doorbell = true) () =
       Td_svm.Runtime.acquire =
         (fun ~pages ->
           let domain = Domain.name (Hypervisor.current hyp) in
-          Quota.acquire ~domain Quota.Map_window_pages pages;
+          Quota.acquire quota ~domain Quota.Map_window_pages pages;
           domain);
       release =
         (fun ~owner ~pages ->
-          Quota.release ~domain:owner Quota.Map_window_pages pages);
+          Quota.release quota ~domain:owner Quota.Map_window_pages pages);
     };
   let calls =
     Td_svm.Call_table.create ~vm_code_base:Td_mem.Layout.vm_driver_code_base
       ~vm_code_size:Td_mem.Layout.page_size
       ~resolver:(fun _ -> None)
   in
-  let att_grants = Grant_table.create ~owner:attacker in
+  let att_grants = Grant_table.create ?quota ~owner:attacker () in
   let kmem = Kmem.create dom0_space in
   let att_wire = ref 0 and vic_wire = ref 0 in
   let doorbell =

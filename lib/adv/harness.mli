@@ -59,9 +59,10 @@ type env = {
 }
 
 val make : ?quota:Td_xen.Quota.limits -> ?attacker_doorbell:bool -> unit -> env
-(** Build the rig. [quota] installs the global {!Td_xen.Quota} engine
-    (dom0 exempt, simulated clock from the rig's ledger) before any
-    allocation, like a real boot; omitted, the engine is cleared.
+(** Build the rig. [quota] gives the rig's hypervisor its own
+    {!Td_xen.Quota} engine (dom0 exempt, simulated clock from the rig's
+    ledger) before any allocation, like a real boot; omitted, nothing is
+    policed.
     [attacker_doorbell] (default true) gives the attacker's channel a
     doorbell page pinned in always-poll, exposing the guest-writable
     sequence words as a fuzz surface. Installs the SVM window guard

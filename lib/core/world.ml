@@ -82,15 +82,11 @@ type t = {
   dom0 : Domain.t option;
   guest : Domain.t option;  (** first guest, when any *)
   mutable slots : guest_slot option array;  (** the domain registry *)
-  quota_engine : Quota.state option;
-      (** this world's private quota engine ({!Config.tuning.quota});
-          scoped ambient around every entry point, so two worlds (e.g.
-          {!Mq} contexts, {!Shard} workers) never share token buckets *)
-  mutable fault_engine : Td_fault.Engine.state option;
-      (** private injection engine ({!Config.tuning.fault_plan}), armed
-          after {!init} so boot is never perturbed; [None] leaves any
-          ambient (globally installed) engine visible — the historical
-          install-after-create pattern *)
+  fault : Td_fault.Engine.t;
+      (** this world's injection engine, held by every site-hosting
+          layer; armed with {!Config.tuning.fault_plan} after {!init} so
+          boot is never perturbed. The quota engine
+          ({!Config.tuning.quota}) lives on [hyp]. *)
   dom0_stack_top : int;
   costs : Sys_costs.t;
   nics : nic_port array;
@@ -195,21 +191,6 @@ let netio_on w ~nic =
           match acc with Some _ -> acc | None -> if n = nic then Some io else None)
         None s.gs_netios
 
-(* Per-world engine scoping: every public entry point runs with this
-   world's private quota/fault engines (when configured) ambient on the
-   calling OCaml domain, restoring whatever was ambient before on exit.
-   Worlds without a private engine leave the ambient one visible — the
-   historical install-after-create composition keeps working. *)
-let scoped w f =
-  let f =
-    match w.fault_engine with
-    | Some st -> fun () -> Td_fault.Engine.with_state st f
-    | None -> f
-  in
-  match w.quota_engine with
-  | Some st -> Quota.with_state st f
-  | None -> f ()
-
 (* ---- construction ---- *)
 
 let host_mac i = Printf.sprintf "\x02\x00\x00\x00\x00%c" (Char.chr i)
@@ -292,14 +273,27 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
   let sup = Support.create ~space:dom0_space ~kmem:km in
   let led = Ledger.create () in
   let cpu = State.create ~hyp_space:xen_space dom0_space in
+  let fault = Td_fault.Engine.create () in
   let dom0_stack_top =
     Addr_space.heap_alloc dom0_space (4 * Layout.page_size)
     + (4 * Layout.page_size)
   in
+  (* per-domain quotas: this world's own engine, on its hypervisor. dom0
+     is exempt — throttling the driver domain's service work would
+     deadlock the paths that drain on behalf of throttled guests.
+     Simulated time for the token buckets is ledger cycles at the
+     nominal 3 GHz. *)
+  let quota =
+    Option.map
+      (Quota.make
+         ~now:(fun () -> float_of_int (Ledger.grand_total led) /. 3e9)
+         ~exempt:[ "dom0" ])
+      tuning.Config.quota
+  in
   (* domains & hypervisor *)
   let hyp, dom0, guest_doms =
     if needs_xen cfg then begin
-      let h = Hypervisor.create ~costs ~ledger:led ~xen_space ~cpu () in
+      let h = Hypervisor.create ~costs ?quota ~ledger:led ~xen_space ~cpu () in
       let d0 =
         Domain.create ~id:0 ~name:"dom0" ~kind:Domain.Driver_domain
           ~space:dom0_space
@@ -330,7 +324,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
         let mac = host_mac i in
         let dev =
           Td_nic.E1000_dev.create ~dma:dom0_space ~mac
-            ~queues:tuning.Config.queues ~rss_seed:tuning.Config.rss_seed
+            ~queues:tuning.Config.queues ~rss_seed:tuning.Config.rss_seed ~fault
             ~tx_frame:(Td_nic.Wire.sink wire) ()
         in
         let mmio = Td_nic.E1000_dev.mmio_vaddr i in
@@ -389,7 +383,10 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
         (* VM instance: identity stlb, dom0-resolved symbols *)
         let vm_stlb = Addr_space.heap_alloc dom0_space (4096 * 8) in
         let vm_scratch = Kmem.alloc km 64 in
-        let vm_rt = Td_svm.Runtime.create_identity ~dom0:dom0_space ~stlb_vaddr:vm_stlb in
+        let vm_rt =
+          Td_svm.Runtime.create_identity ~fault ~dom0:dom0_space
+            ~stlb_vaddr:vm_stlb ()
+        in
         Td_svm.Runtime.register_natives vm_rt natives;
         ignore
           (Native.register natives "__svm_call@vm" (fun st ->
@@ -415,7 +412,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
         let hyp_rt =
           Td_svm.Runtime.create_hypervisor ~map_pairs
             ~window_pages:tuning.Config.map_window_pages
-            ~stlb_vaddr:hyp_stlb_vaddr ~dom0:dom0_space ~hyp:xen_space ()
+            ~stlb_vaddr:hyp_stlb_vaddr ~fault ~dom0:dom0_space ~hyp:xen_space ()
         in
         Td_svm.Runtime.register_natives hyp_rt natives;
         let pool =
@@ -444,7 +441,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
             (fun n -> not (List.mem n upcall_set))
             Support.fast_path_names
         in
-        Support.register_hyp_natives sup natives ~ctx ~native_set;
+        Support.register_hyp_natives ~fault sup natives ~ctx ~native_set;
         let ct =
           Td_svm.Call_table.create ~vm_code_base:Layout.vm_driver_code_base
             ~vm_code_size:(Program.size_bytes vm_prog)
@@ -488,25 +485,6 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
                  ~base:Layout.vm_driver_code_base ~symbols:vm_syms ~registry)),
           Some (fun () -> load_hyp Td_rewriter.Loader.reload) )
   in
-  (* per-domain quotas: a private, per-world engine — scoped ambient
-     around every entry point rather than installed process-globally, so
-     concurrent worlds (Mq contexts, shard workers) cannot share or
-     clobber each other's buckets. dom0 is exempt — throttling the driver
-     domain's service work would deadlock the paths that drain on behalf
-     of throttled guests. Simulated time for the token buckets is ledger
-     cycles at the nominal 3 GHz. *)
-  let quota_engine =
-    match tuning.Config.quota with
-    | Some l ->
-        let exempt =
-          match dom0 with Some d -> [ Domain.name d ] | None -> [ "dom0" ]
-        in
-        Some
-          (Quota.make
-             ~now:(fun () -> float_of_int (Ledger.grand_total led) /. 3e9)
-             ~exempt l)
-    | None -> None
-  in
   let w =
     {
       cfg;
@@ -535,8 +513,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
                 gs_rx_pending = Queue.create ();
                 gs_rx_count = 0;
               });
-      quota_engine;
-      fault_engine = None;
+      fault;
       dom0_stack_top;
       costs;
       nics = ports;
@@ -555,7 +532,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
       demux_skb = None;
       gmac_index = Hashtbl.create 8;
       interp =
-        (let i = Interp.create cpu registry natives in
+        (let i = Interp.create ~fault cpu registry natives in
          Interp.set_compile_threshold i tuning.Config.compile_threshold;
          Interp.set_superblock_cap i tuning.Config.superblock_cap;
          i);
@@ -617,11 +594,12 @@ let run_driver w ~entry ~args ~stack =
     (* under fault injection a corrupted driver can drive the model into
        states the pristine system never reaches (bogus register numbers,
        unresolved indirect calls); contain them as aborts — but only when
-       a plan is installed, so genuine model bugs still crash loudly *)
+       the world's engine is armed, so genuine model bugs still crash
+       loudly *)
     | ( Invalid_argument _ | Failure _ | Interp.Fault _
       | Phys_mem.Bad_frame _ | Phys_mem.Out_of_frames _
       | Addr_space.Heap_exhausted _ | Hypervisor.No_domains _ ) as e
-      when Option.is_some (Td_fault.Engine.plan ()) ->
+      when Option.is_some (Td_fault.Engine.plan w.fault) ->
         abort (Printf.sprintf "model fault: %s" (Printexc.to_string e))
   in
   Ledger.charge w.led Ledger.Driver (w.cpu.State.cycles - before);
@@ -729,7 +707,7 @@ let recover w ~nic ~reason =
   Fun.protect
     ~finally:(fun () -> w.in_recovery <- false)
     (fun () ->
-      Td_fault.Engine.suspend (fun () ->
+      Td_fault.Engine.suspend w.fault (fun () ->
           (* 1. invalidate all translations and unmap the window pairs *)
           Option.iter Td_svm.Runtime.flush w.svm_hyp;
           (match w.svm_vm with
@@ -756,7 +734,7 @@ let recover w ~nic ~reason =
           Array.iter
             (fun q ->
               teardown_driver_memory w q;
-              Td_fault.Engine.note_lost (Td_nic.E1000_dev.reset q.dev);
+              Td_fault.Engine.note_lost w.fault (Td_nic.E1000_dev.reset q.dev);
               q.pending_irq <- 0;
               Netdev.repair q.nd ~mmio_base:q.shadow.s_mmio_base ~mac:q.mac
                 ~mtu:q.shadow.s_mtu;
@@ -812,18 +790,18 @@ let replay_tx w attempt =
   match w.tuning.Config.recovery with
   | Config.Fail_stop -> false (* unreachable: supervised re-raised *)
   | Config.Restart ->
-      Td_fault.Engine.note_lost 1;
+      Td_fault.Engine.note_lost w.fault 1;
       false
   | Config.Restart_replay -> (
       w.replayed <- w.replayed + 1;
       if Td_obs.Control.enabled () then Td_obs.Metrics.bump "fault.replayed";
       match
-        Td_fault.Engine.suspend (fun () ->
+        Td_fault.Engine.suspend w.fault (fun () ->
             try Some (attempt ()) with Driver_aborted _ -> None)
       with
       | Some ok -> ok
       | None ->
-          Td_fault.Engine.note_lost 1;
+          Td_fault.Engine.note_lost w.fault 1;
           false)
 
 let run_tx w ~nic attempt =
@@ -931,21 +909,22 @@ let init (w : t) =
       Td_svm.Runtime.set_reclaim_hook rt (fun () ->
           charge_xen_cat w w.costs.Sys_costs.window_reclaim))
     w.svm_hyp;
-  (* with quotas installed, mapped-page window pairs are charged to the
+  (* with a quota engine, mapped-page window pairs are charged to the
      domain on whose behalf the hypervisor driver is running; the guard
      lives here because td_svm cannot depend on td_xen *)
   (match (w.svm_hyp, w.hyp) with
-  | Some rt, Some h when w.tuning.Config.quota <> None ->
+  | Some rt, Some h when Hypervisor.quota h <> None ->
+      let quota = Hypervisor.quota h in
       Td_svm.Runtime.set_window_guard rt
         {
           Td_svm.Runtime.acquire =
             (fun ~pages ->
               let domain = Domain.name (Hypervisor.current h) in
-              Quota.acquire ~domain Quota.Map_window_pages pages;
+              Quota.acquire quota ~domain Quota.Map_window_pages pages;
               domain);
           release =
             (fun ~owner ~pages ->
-              Quota.release ~domain:owner Quota.Map_window_pages pages);
+              Quota.release quota ~domain:owner Quota.Map_window_pages pages);
         }
   | _ -> ());
   (* exact stlb.hit accounting: the inline probe's hit path is the xor
@@ -1088,23 +1067,15 @@ let create ?nics ?guests ?upcall_set ?pool_entries ?costs ?spill_everything
     create ?nics ?guests ?upcall_set ?pool_entries ?costs ?spill_everything
       ?rewrite_style ?cache_probes ?map_pairs ?shard ?tuning cfg
   in
-  (* init runs under the world's quota engine (grant-table and map-window
-     acquires during channel setup charge the right buckets, as the
-     historical install-before-init did) but never under its fault
-     engine: boot is deterministic, injection arms only afterwards *)
-  let w =
-    match w.quota_engine with
-    | Some st -> Quota.with_state st (fun () -> init w)
-    | None -> init w
-  in
-  w.fault_engine <-
-    Option.map Td_fault.Engine.make w.tuning.Config.fault_plan;
+  (* boot is deterministic: the fault engine arms only after init (the
+     quota engine, on the hypervisor, charges channel setup as usual) *)
+  let w = init w in
+  Option.iter (Td_fault.Engine.arm w.fault) w.tuning.Config.fault_plan;
   w
 
 (* ---- traffic ---- *)
 
 let transmit w ~nic ~payload =
-  scoped w @@ fun () ->
   let p = w.nics.(nic) in
   if p.quarantined then raise (Nic_quarantined { nic });
   let frame = build_frame ~dst:(client_mac nic) ~src:p.mac ~payload in
@@ -1208,7 +1179,6 @@ let transmit w ~nic ~payload =
       run_tx w ~nic attempt
 
 let inject_rx ?(guest = 0) w ~nic ~payload =
-  scoped w @@ fun () ->
   let p = w.nics.(nic) in
   let dst =
     match w.cfg with
@@ -1313,7 +1283,6 @@ let deliver_pending w =
       done
 
 let pump w =
-  scoped w @@ fun () ->
   let progress = ref true in
   while !progress do
     progress := false;
@@ -1321,10 +1290,10 @@ let pump w =
       (fun i p ->
         (* lost-interrupt rescue: an injected lost IRQ leaves its cause
            latched in ICR with no handler call; the pump's poll sweep
-           re-kicks it. Gated on an installed plan so unplanned runs keep
+           re-kicks it. Gated on an armed plan so unplanned runs keep
            their exact interrupt timing. *)
         if
-          Td_fault.Engine.active ()
+          Td_fault.Engine.active w.fault
           && p.pending_irq = 0
           && (not p.quarantined)
           && Td_nic.E1000_dev.irq_pending p.dev
@@ -1377,7 +1346,6 @@ let shadow_mtu w ~nic = w.nics.(nic).shadow.s_mtu
 let shadow_promisc w ~nic = w.nics.(nic).shadow.s_promisc
 
 let reset_measurement w =
-  scoped w @@ fun () ->
   (* zero the whole registry and trace first, then the ledger (whose reset
      re-zeroes its registry mirrors — keeping both views aligned so the
      Measure cross-check can compare them at the end of the run) *)
@@ -1402,7 +1370,7 @@ let reset_measurement w =
   w.twin_tx_pushes <- 0;
   w.recoveries <- 0;
   w.replayed <- 0;
-  Td_fault.Engine.reset_counters ()
+  Td_fault.Engine.reset_counters w.fault
 
 (* ---- housekeeping ---- *)
 
@@ -1414,7 +1382,7 @@ let supervised_retry w ~nic attempt =
   | Some out -> out
   | None -> (
       match
-        Td_fault.Engine.suspend (fun () ->
+        Td_fault.Engine.suspend w.fault (fun () ->
             try Some (attempt ()) with Driver_aborted _ -> None)
       with
       | Some out -> out
@@ -1423,7 +1391,6 @@ let supervised_retry w ~nic attempt =
           raise (Nic_quarantined { nic }))
 
 let run_watchdog w ~nic =
-  scoped w @@ fun () ->
   if w.nics.(nic).quarantined then raise (Nic_quarantined { nic });
   check_hang w ~nic;
   if not w.nics.(nic).quarantined then
@@ -1433,7 +1400,6 @@ let run_watchdog w ~nic =
              ~args:[ w.nics.(nic).nd.Netdev.addr ]))
 
 let read_stats w ~nic =
-  scoped w @@ fun () ->
   if w.nics.(nic).quarantined then raise (Nic_quarantined { nic });
   supervised_retry w ~nic (fun () ->
       let dest = Kmem.alloc w.km 32 in
@@ -1448,7 +1414,6 @@ let read_stats w ~nic =
       out)
 
 let run_set_rx_mode w ~nic ~promisc =
-  scoped w @@ fun () ->
   let p = w.nics.(nic) in
   if p.quarantined then raise (Nic_quarantined { nic });
   supervised_retry w ~nic (fun () ->
@@ -1459,7 +1424,6 @@ let run_set_rx_mode w ~nic ~promisc =
   p.shadow.s_promisc <- promisc
 
 let run_set_mtu w ~nic ~mtu =
-  scoped w @@ fun () ->
   let p = w.nics.(nic) in
   if p.quarantined then raise (Nic_quarantined { nic });
   supervised_retry w ~nic (fun () ->
@@ -1469,7 +1433,6 @@ let run_set_mtu w ~nic ~mtu =
   p.shadow.s_mtu <- mtu
 
 let tick w =
-  scoped w @@ fun () ->
   (* the timer service bounds how long a partial batch can stay staged;
      it is also the adaptive doorbell's window boundary (poll entry /
      idle-hysteresis fallback) *)
@@ -1477,7 +1440,6 @@ let tick w =
   Timer_wheel.tick w.timers
 
 let shutdown w =
-  scoped w @@ fun () ->
   (* guest quiesce: drain every channel completely — partially staged
      batches must not be dropped on teardown *)
   iter_netios w Xen_netio.teardown;
@@ -1512,14 +1474,12 @@ let mask_dom0_interrupts w =
   Option.iter Domain.mask_interrupts w.dom0
 
 let unmask_dom0_interrupts w =
-  scoped w @@ fun () ->
   Option.iter Domain.unmask_interrupts w.dom0;
   deliver_pending w
 
 (* ---- the domain registry: runtime create / destroy / traffic ---- *)
 
 let create_guest ?nic w =
-  scoped w @@ fun () ->
   if not (needs_guest w.cfg) then
     raise
       (Config_error
@@ -1582,7 +1542,6 @@ let create_guest ?nic w =
   g
 
 let destroy_guest w ~guest:g =
-  scoped w @@ fun () ->
   let s = slot_exn w g ~op:"World.destroy_guest" in
   (* frames queued on the twin path still belong to the guest: deliver
      them while the slot is alive, before the channels come down *)
@@ -1601,14 +1560,16 @@ let destroy_guest w ~guest:g =
       Hashtbl.remove w.gmac_index (vif_mac g i))
     w.nics;
   Scheduler.remove w.sched s.gs_dom;
-  (match w.hyp with Some h -> Hypervisor.remove_domain h s.gs_dom | None -> ());
-  Quota.forget ~domain:(Domain.name s.gs_dom);
+  (match w.hyp with
+  | Some h ->
+      Hypervisor.remove_domain h s.gs_dom;
+      Quota.forget (Hypervisor.quota h) ~domain:(Domain.name s.gs_dom)
+  | None -> ());
   Ledger.retire_domain w.led ~domain:(Domain.name s.gs_dom);
   Addr_space.release s.gs_space;
   w.slots.(g) <- None
 
 let transmit_from ?nic w ~guest:g ~payload =
-  scoped w @@ fun () ->
   let s = slot_exn w g ~op:"World.transmit_from" in
   (match w.cfg with
   | Config.Xen_domU -> ()
@@ -1655,9 +1616,14 @@ let transmit_from ?nic w ~guest:g ~payload =
 
 (* ---- per-world engine observability ---- *)
 
-let fault_injected w = scoped w Td_fault.Engine.injected
-let fault_lost w = scoped w Td_fault.Engine.lost_frames
-let quota_throttled w = scoped w Quota.throttled
+let fault_engine w = w.fault
+let fault_injected w = Td_fault.Engine.injected w.fault
+let fault_lost w = Td_fault.Engine.lost_frames w.fault
+
+let quota_throttled w =
+  match Option.bind w.hyp Hypervisor.quota with
+  | Some q -> Quota.throttled q
+  | None -> 0
 
 let doorbell_pages_mapped w =
   let base, limit = Xen_netio.doorbell_window in

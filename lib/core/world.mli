@@ -36,6 +36,12 @@ val create :
     notification batch factor; batching changes only when notifications
     are sent, never the frame payloads or their order.
 
+    The world owns its engines. Its one {!Td_fault.Engine.t} is handed
+    to every layer that hosts an injection site and is armed with
+    [tuning.fault_plan] only after the driver has booted. Its quota
+    engine, built from [tuning.quota], lives on its hypervisor. Nothing
+    is shared with any other world.
+
     [shard] (default 0) marks this world as one (guest, queue) execution
     context of a sharded simulation ({!Mq}): it selects the world's stlb
     partition (32 KiB tables packed between [Layout.stlb_base] and the
@@ -191,13 +197,16 @@ val netio_rx_mode : t -> nic:int -> Td_kernel.Xen_netio.mode
 
 (* per-world engine observability *)
 
+val fault_engine : t -> Td_fault.Engine.t
+(** The engine every site of this world consults. Arming or disarming it
+    takes effect at the next injection opportunity. *)
+
 val fault_injected : t -> int
 val fault_lost : t -> int
-(** This world's injection/lost-frame counters — read under its private
-    fault engine when it has one, the ambient engine otherwise. *)
+(** This world's injection/lost-frame counters. *)
 
 val quota_throttled : t -> int
-(** Quota denials under this world's engine (ambient when none). *)
+(** Denials by this world's quota engine (0 without one). *)
 
 val doorbell_pages_mapped : t -> int
 (** Doorbell pages currently mapped in dom0's doorbell window — one per

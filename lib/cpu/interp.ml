@@ -43,9 +43,10 @@ type t = {
   mutable compiled_hits : int;
   mutable compiled_bailouts : int;
   stlb_elided : int ref;
+  fault : Td_fault.Engine.t;
 }
 
-let create ?hook state registry natives =
+let create ?hook ?(fault = Td_fault.Engine.create ()) state registry natives =
   {
     state;
     registry;
@@ -69,6 +70,7 @@ let create ?hook state registry natives =
     compiled_hits = 0;
     compiled_bailouts = 0;
     stlb_elided = ref 0;
+    fault;
   }
 
 let set_dispatch t d = t.dispatch <- d
@@ -84,13 +86,13 @@ let exec_insn t insn = Semantics.exec_insn ~natives:t.natives t.state insn
    flags, the kind of corruption the SVM containment story must absorb *)
 let flip_regs = Td_misa.Reg.[| EAX; EBX; ECX; EDX; ESI; EDI |]
 
-let inject_bitflip st =
-  match Td_fault.Engine.pick Td_fault.Interp_bitflip 8 with
+let inject_bitflip t st =
+  match Td_fault.Engine.pick t.fault Td_fault.Interp_bitflip 8 with
   | 6 -> st.State.zf <- not st.State.zf
   | 7 -> st.State.cf <- not st.State.cf
   | r ->
       let reg = flip_regs.(r) in
-      let bit = Td_fault.Engine.pick Td_fault.Interp_bitflip 32 in
+      let bit = Td_fault.Engine.pick t.fault Td_fault.Interp_bitflip 32 in
       State.set st reg (State.get st reg lxor (1 lsl bit))
 
 (* --- instruction fetch --- *)
@@ -200,7 +202,8 @@ let step t =
   let insn = prog.Program.code.(idx) in
   credit_hit t st insn;
   (match t.hook with Some h -> h st insn | None -> ());
-  if Td_fault.Engine.fire Td_fault.Interp_bitflip then inject_bitflip st;
+  if Td_fault.Engine.fire t.fault Td_fault.Interp_bitflip then
+    inject_bitflip t st;
   st.State.steps <- st.State.steps + 1;
   exec_insn t insn
 
@@ -214,7 +217,7 @@ let step t =
 let needs_slow_path t =
   (match t.hook with Some _ -> true | None -> false)
   || (match t.dispatch with Per_step -> true | Block | Compiled -> false)
-  || Td_fault.Engine.armed Td_fault.Interp_bitflip
+  || Td_fault.Engine.armed t.fault Td_fault.Interp_bitflip
 
 (* straight-line fast path: resolve once, execute to the end of the
    basic block by array index. In-block instructions only fall through

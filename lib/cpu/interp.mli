@@ -56,13 +56,17 @@ type t = {
   mutable compiled_hits : int;
   mutable compiled_bailouts : int;
   stlb_elided : int ref;
+  fault : Td_fault.Engine.t;  (** hosts the [Interp_bitflip] site *)
 }
 (** Construct only through {!create}; the cache fields are exposed for
     the record type's sake and are not part of the stable API. *)
 
 val create :
   ?hook:(State.t -> Td_misa.Insn.t -> unit) ->
+  ?fault:Td_fault.Engine.t ->
   State.t -> Code_registry.t -> Native.t -> t
+(** [fault] is the owning world's injection engine, consulted for
+    {!Td_fault.Interp_bitflip} (default: a disarmed engine). *)
 
 val set_dispatch : t -> dispatch -> unit
 

@@ -78,8 +78,8 @@ let rate plan = function
   | Upcall_fail -> plan.upcall_fail
 
 module Engine = struct
-  type state = {
-    plan : plan;
+  type t = {
+    mutable plan : plan option;
     streams : int array;
     mutable suspend_depth : int;
     mutable injected_total : int;
@@ -95,36 +95,32 @@ module Engine = struct
     let x = ((seed * 0x9E3779B1) + ((i + 1) * 0x85EBCA77)) land mask in
     if x = 0 then 0x2545F491 + i else x
 
-  let make plan =
+  let create () =
     {
-      plan;
-      streams = Array.init n_sites (seed_stream plan.seed);
+      plan = None;
+      streams = Array.make n_sites 0;
       suspend_depth = 0;
       injected_total = 0;
       injected_per_site = Array.make n_sites 0;
       lost = 0;
     }
 
-  (* The ambient engine slot is per OCaml domain (DLS), so parallel
-     shards never observe each other's engines: a spawned shard worker
-     starts with no ambient engine, and a World carrying a private
-     engine scopes it around its entry points with [with_state]. *)
-  let slot : state option ref Stdlib.Domain.DLS.key =
-    Stdlib.Domain.DLS.new_key (fun () -> ref None)
+  let reset_counters e =
+    e.injected_total <- 0;
+    Array.fill e.injected_per_site 0 n_sites 0;
+    e.lost <- 0
 
-  let current () = !(Stdlib.Domain.DLS.get slot)
+  let arm e plan =
+    e.plan <- Some plan;
+    Array.iteri (fun i _ -> e.streams.(i) <- seed_stream plan.seed i) e.streams;
+    reset_counters e
 
-  let with_state st f =
-    let r = Stdlib.Domain.DLS.get slot in
-    let saved = !r in
-    r := Some st;
-    Fun.protect ~finally:(fun () -> r := saved) f
+  let disarm e = e.plan <- None
 
-  (* Lost frames are counted even when no engine is armed (organic
-     aborts under a Restart policy still drop frames); they land in a
-     per-OCaml-domain orphan counter so the accounting stays visible. *)
-  let orphan_lost : int ref Stdlib.Domain.DLS.key =
-    Stdlib.Domain.DLS.new_key (fun () -> ref 0)
+  let make plan =
+    let e = create () in
+    arm e plan;
+    e
 
   let next streams i =
     let x = streams.(i) in
@@ -135,37 +131,23 @@ module Engine = struct
     x
 
   let uniform streams i = float_of_int (next streams i land 0xFFFFFF) /. 16777216.
+  let plan e = e.plan
+  let active e = Option.is_some e.plan && e.suspend_depth = 0
 
-  let reset_counters () =
-    (match current () with
-    | Some e ->
-        e.injected_total <- 0;
-        Array.fill e.injected_per_site 0 n_sites 0;
-        e.lost <- 0
-    | None -> ());
-    Stdlib.Domain.DLS.get orphan_lost := 0
-
-  let install plan = Stdlib.Domain.DLS.get slot := Some (make plan)
-  let clear () = Stdlib.Domain.DLS.get slot := None
-  let plan () = Option.map (fun e -> e.plan) (current ())
-
-  let active () =
-    match current () with Some e -> e.suspend_depth = 0 | None -> false
-
-  let armed site =
-    match current () with
-    | Some e -> e.suspend_depth = 0 && rate e.plan site > 0.
+  let armed e site =
+    match e.plan with
+    | Some p -> e.suspend_depth = 0 && rate p site > 0.
     | None -> false
 
-  let fire site =
-    match current () with
+  let fire e site =
+    match e.plan with
     | None -> false
-    | Some e ->
+    | Some p ->
         e.suspend_depth = 0
-        && rate e.plan site > 0.
+        && rate p site > 0.
         &&
         let i = site_index site in
-        uniform e.streams i < rate e.plan site
+        uniform e.streams i < rate p site
         &&
         (e.injected_total <- e.injected_total + 1;
          e.injected_per_site.(i) <- e.injected_per_site.(i) + 1;
@@ -177,39 +159,25 @@ module Engine = struct
          end;
          true)
 
-  let pick site bound =
+  let pick e site bound =
     if bound <= 0 then invalid_arg "Td_fault.Engine.pick";
-    match current () with
+    match e.plan with
     | None -> 0
-    | Some e -> next e.streams (site_index site) mod bound
+    | Some _ -> next e.streams (site_index site) mod bound
 
-  let suspend f =
-    match current () with
-    | None -> f ()
-    | Some e ->
-        e.suspend_depth <- e.suspend_depth + 1;
-        Fun.protect ~finally:(fun () -> e.suspend_depth <- e.suspend_depth - 1) f
+  let suspend e f =
+    e.suspend_depth <- e.suspend_depth + 1;
+    Fun.protect ~finally:(fun () -> e.suspend_depth <- e.suspend_depth - 1) f
 
-  let injected () = match current () with Some e -> e.injected_total | None -> 0
+  let injected e = e.injected_total
+  let injected_at e site = e.injected_per_site.(site_index site)
 
-  let injected_at site =
-    match current () with
-    | Some e -> e.injected_per_site.(site_index site)
-    | None -> 0
-
-  let note_lost n =
+  let note_lost e n =
     if n > 0 then begin
-      (match current () with
-      | Some e -> e.lost <- e.lost + n
-      | None ->
-          let r = Stdlib.Domain.DLS.get orphan_lost in
-          r := !r + n);
+      e.lost <- e.lost + n;
       if Td_obs.Control.enabled () then
         Td_obs.Metrics.bump_by "fault.lost_frames" n
     end
 
-  let lost_frames () =
-    match current () with
-    | Some e -> e.lost
-    | None -> !(Stdlib.Domain.DLS.get orphan_lost)
+  let lost_frames e = e.lost
 end

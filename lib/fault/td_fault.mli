@@ -1,17 +1,14 @@
 (** Deterministic, seeded fault injection for the twin-driver runtime.
 
-    Engine state is first-class: {!Engine.make} builds an armed engine
-    from a plan, and each OCaml domain carries an *ambient* engine slot
-    (domain-local storage) that {!Engine.install}/{!Engine.clear} set
-    directly and {!Engine.with_state} scopes around a callback. Runtime
-    layers that host an injection site ask {!Engine.fire} on their hot
-    path, guarded by {!Engine.active} (the interpreter, whose only site
-    is [Interp_bitflip], by {!Engine.armed}), so a run without a visible
-    engine executes exactly the pre-fault instruction stream —
-    bit-identical ledgers, wire traffic and traces. A [World] that
-    carries a private engine scopes it around its entry points, so N
-    worlds (and N parallel shards — each spawned OCaml domain starts
-    with an empty slot) inject independently.
+    An {!Engine.t} is a plain value owned by one world. Every runtime
+    layer that hosts an injection site (the interpreter, the SVM runtime,
+    the NIC model, the upcall stub) receives its world's engine when it
+    is constructed and asks {!Engine.fire} on its hot path. A disarmed
+    engine (no plan) never fires and never draws from a stream, so a run
+    without a plan executes exactly the pre-fault instruction stream —
+    bit-identical ledgers, wire traffic and traces. Two worlds never
+    share an engine, so N worlds (and N parallel shards) inject
+    independently.
 
     Each site class draws from its own xorshift stream seeded from
     [plan.seed], so two runs with the same plan and workload inject the
@@ -46,7 +43,7 @@ type plan = {
 }
 
 val zero_plan : plan
-(** Seed 0, every rate [0.] — installing it changes nothing. *)
+(** Seed 0, every rate [0.] — arming it changes nothing. *)
 
 val uniform_plan : ?seed:int -> float -> plan
 (** Every site class at the same per-opportunity rate. *)
@@ -54,66 +51,58 @@ val uniform_plan : ?seed:int -> float -> plan
 val rate : plan -> site -> float
 
 module Engine : sig
-  type state
-  (** An armed engine: a plan, its per-site xorshift streams, the
-      suspend depth, and the injection/loss counters. *)
+  type t
+  (** An injection engine: an optional plan, its per-site xorshift
+      streams, the suspend depth, and the injection/loss counters. *)
 
-  val make : plan -> state
-  (** Build a fresh engine: streams seeded from [plan.seed], all
-      counters zero, not suspended. *)
+  val create : unit -> t
+  (** A disarmed engine: it never fires, but still counts
+      {!note_lost}. Modules that host a site default to one of these. *)
 
-  val with_state : state -> (unit -> 'a) -> 'a
-  (** Run [f] with [state] as the calling OCaml domain's ambient
-      engine, restoring whatever was visible before on exit
-      (exception-safe). Counters accumulate in [state] across calls, so
-      a [World] can scope its private engine around each entry point
-      and read totals afterwards with e.g.
-      [with_state st Engine.injected]. *)
+  val make : plan -> t
+  (** {!create} then {!arm}. *)
 
-  val install : plan -> unit
-  (** Arm the ambient slot with a fresh engine (so streams and all
-      counters, including {!lost_frames}, start from zero). *)
+  val arm : t -> plan -> unit
+  (** Install [plan]: streams reseeded from [plan.seed] and every
+      counter zeroed, as if the engine were fresh. Everything already
+      holding the engine sees the plan from the next opportunity on. *)
 
-  val clear : unit -> unit
-  (** Empty the ambient slot. The previous engine's counters live on in
-      its [state] (if the caller kept it); module-level readers return
-      zero once the slot is empty. *)
+  val disarm : t -> unit
+  (** Drop the plan. Counters keep their values. *)
 
-  val plan : unit -> plan option
-  val active : unit -> bool
-  (** An engine is visible and injection is not {!suspend}ed. *)
+  val plan : t -> plan option
 
-  val armed : site -> bool
+  val active : t -> bool
+  (** Armed and not {!suspend}ed. *)
+
+  val armed : t -> site -> bool
   (** {!active} and [site]'s rate is above [0.]: {!fire} may inject at
       [site]. A rate-[0.] site never draws from its stream, so code that
       hosts only that site can treat an unarmed engine as absent. *)
 
-  val fire : site -> bool
+  val fire : t -> site -> bool
   (** One injection opportunity at [site]. [true] means the caller must
       inject its fault now; the engine has already counted it, bumped
       [fault.injected] and emitted a [Fault_injected] trace event. Never
-      fires when inactive, suspended, or the site's rate is [0.]. *)
+      fires when disarmed, suspended, or the site's rate is [0.]. *)
 
-  val pick : site -> int -> int
+  val pick : t -> site -> int -> int
   (** Deterministic choice in [0, bound) from [site]'s stream — for
       picking which register/bit to flip after {!fire} said yes. *)
 
-  val suspend : (unit -> 'a) -> 'a
-  (** Run [f] with injection masked on the visible engine (re-entrant).
-      The supervisor wraps recovery and replay in this so restarts
-      always make progress. A no-op wrapper when no engine is
-      visible. *)
+  val suspend : t -> (unit -> 'a) -> 'a
+  (** Run [f] with injection masked (re-entrant). The supervisor wraps
+      recovery and replay in this so restarts always make progress. *)
 
-  val injected : unit -> int
-  val injected_at : site -> int
+  val injected : t -> int
+  val injected_at : t -> site -> int
 
-  val note_lost : int -> unit
+  val note_lost : t -> int -> unit
   (** Record frames deliberately dropped (not replayed) by fault
       handling — supervisor drops, stuck-ring discards, corrupt-RX
-      losses. Counted (and [fault.lost_frames] bumped) even when no
-      engine is visible — orphan losses land in a per-OCaml-domain
-      counter — so recovery from organic aborts stays visible. *)
+      losses — and bump [fault.lost_frames]. Counted on a disarmed
+      engine too, so recovery from organic aborts stays visible. *)
 
-  val lost_frames : unit -> int
-  val reset_counters : unit -> unit
+  val lost_frames : t -> int
+  val reset_counters : t -> unit
 end

@@ -59,11 +59,13 @@ type hyp_ctx = {
 }
 
 val register_hyp_natives :
+  ?fault:Td_fault.Engine.t ->
   t -> Td_cpu.Native.t -> ctx:hyp_ctx -> native_set:string list -> unit
 (** Register the hypervisor-side resolution of every routine: a native
     hypervisor implementation for routines in [native_set] (must be
     fast-path routines), an upcall stub into dom0 for the rest. Symbols
-    are ["<name>@hyp"]. Varying [native_set] reproduces Figure 10. *)
+    are ["<name>@hyp"]. Varying [native_set] reproduces Figure 10.
+    [fault] is handed to every upcall stub ({!Td_xen.Upcall.make_stub}). *)
 
 val hyp_symtab : t -> Td_cpu.Native.t -> string -> int option
 

@@ -126,7 +126,9 @@ let create ?(batch = 1) ?(queue = 0) ?doorbell ~hyp ~dom0 ~guest ~kmem
   if queue < 0 || queue > max_queue_index then
     invalid_arg "Xen_netio: queue out of range";
   let gspace = Domain.space guest in
-  let grants = Grant_table.create ~owner:guest in
+  let grants =
+    Grant_table.create ?quota:(Hypervisor.quota hyp) ~owner:guest ()
+  in
   (* Without a doorbell the staging ring is exactly [batch] pages and the
      producer cursor walks it in lockstep with the (always fully drained)
      staged queue — page-for-page the historical layout. With one, drains
@@ -321,8 +323,8 @@ let guest_transmit t frame =
      (almost) nothing — the guest's credit check happens before the skb
      is even built, so dom0 and Xen never see it, which is what keeps a
      hostile neighbour from taxing the victim *)
-  if Quota.active () then
-    Quota.take ~domain:(Domain.name t.guest) Quota.Notifications;
+  Quota.take (Hypervisor.quota t.hyp) ~domain:(Domain.name t.guest)
+    Quota.Notifications;
   charge_guest t costs.Sys_costs.netfront;
   let slots = Array.length t.tx_pages in
   (match t.doorbell with
@@ -345,8 +347,8 @@ let guest_transmit t frame =
          the store, and the consumer's leftover check (staged queue
          non-empty) still drains the frame on the next poll *)
       if
-        (not (Quota.active ()))
-        || Quota.try_take ~domain:(Domain.name t.guest) Quota.Doorbells
+        Quota.try_take (Hypervisor.quota t.hyp) ~domain:(Domain.name t.guest)
+          Quota.Doorbells
       then
         ring_doorbell t db.tx ~space:(Domain.space t.guest)
           ~vaddr:(db.page + db.tx_off) ~charge:charge_guest;
@@ -453,8 +455,9 @@ let deliver_to_guest t skb =
     Skb.free t.kmem skb
   end
   else if
-    Quota.active ()
-    && not (Quota.try_take ~domain:(Domain.name t.guest) Quota.Rx_deliveries)
+    not
+      (Quota.try_take (Hypervisor.quota t.hyp) ~domain:(Domain.name t.guest)
+         Quota.Rx_deliveries)
   then rx_throttle_drop t skb
   else begin
     let gref, gvaddr = Queue.pop t.rx_posted in

@@ -21,6 +21,7 @@ type t = {
   mutable dropped : int;
   mutable irq_count : int;
   mutable dma_stuck : bool;  (** injected: TX DMA engine wedged *)
+  fault : Td_fault.Engine.t;
 }
 
 let mmio_vaddr i = 0xC0F0_0000 + (i * Td_mem.Layout.page_size)
@@ -50,7 +51,8 @@ let set t off v = t.regs.(word t off) <- v land 0xFFFFFFFF
 let max_desc_len = 16384
 
 let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?(queues = 1)
-    ?(rss_seed = 0x2A8F) ~dma ~mac ~tx_frame () =
+    ?(rss_seed = 0x2A8F) ?(fault = Td_fault.Engine.create ()) ~dma ~mac
+    ~tx_frame () =
   if String.length mac <> 6 then invalid_arg "E1000_dev.create: mac must be 6 bytes";
   if queues < 1 || queues > Regs.max_queues then
     invalid_arg "E1000_dev.create: queues out of range";
@@ -75,6 +77,7 @@ let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?(queues = 1)
       dropped = 0;
       irq_count = 0;
       dma_stuck = false;
+      fault;
     }
   in
   set t Regs.status 0x3;
@@ -117,10 +120,7 @@ let raise_cause ?(vector = 0) t cause =
          throttle (each queue has its own moderation on real silicon —
          unmodelled). The lost-irq injection site stays symmetric with
          the legacy path; the cause is latched in ICR either way. *)
-      if
-        Td_fault.Engine.active ()
-        && Td_fault.Engine.fire Td_fault.Nic_lost_irq
-      then ()
+      if Td_fault.Engine.fire t.fault Td_fault.Nic_lost_irq then ()
       else begin
         t.irq_count <- t.irq_count + 1;
         Td_obs.Metrics.bump "nic.irq";
@@ -135,10 +135,7 @@ let raise_cause ?(vector = 0) t cause =
           (* fault-injection site: the assertion edge is dropped on the
              floor — the cause stays latched in ICR ([irq_pending]), so a
              poll can still find and service it, as real drivers do *)
-          if
-            Td_fault.Engine.active ()
-            && Td_fault.Engine.fire Td_fault.Nic_lost_irq
-          then ()
+          if Td_fault.Engine.fire t.fault Td_fault.Nic_lost_irq then ()
           else begin
             t.irq_count <- t.irq_count + 1;
             Td_obs.Metrics.bump "nic.irq";
@@ -160,10 +157,7 @@ let process_tx ?(queue = 0) t =
   (* fault-injection site: the DMA engine wedges — doorbells are ignored
      until the supervisor resets the device, and the frames queued in
      the ring never reach the wire *)
-  if
-    (not t.dma_stuck)
-    && Td_fault.Engine.active ()
-    && Td_fault.Engine.fire Td_fault.Nic_stuck_dma
+  if (not t.dma_stuck) && Td_fault.Engine.fire t.fault Td_fault.Nic_stuck_dma
   then t.dma_stuck <- true;
   if t.dma_stuck then ()
   else begin
@@ -273,13 +267,11 @@ let receive_frame ?queue t frame =
     end;
     set t Regs.mpc (get t Regs.mpc + 1)
   end
-  else if
-    Td_fault.Engine.active () && Td_fault.Engine.fire Td_fault.Nic_corrupt_rx
-  then begin
+  else if Td_fault.Engine.fire t.fault Td_fault.Nic_corrupt_rx then begin
     (* fault-injection site: the descriptor is corrupted in flight — the
        device discards the frame as a bad packet and counts it missed *)
     t.dropped <- t.dropped + 1;
-    Td_fault.Engine.note_lost 1;
+    Td_fault.Engine.note_lost t.fault 1;
     if Td_obs.Control.enabled () then begin
       Td_obs.Metrics.bump "nic.rx.dropped";
       Td_obs.Trace.emit

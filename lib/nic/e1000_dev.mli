@@ -32,6 +32,7 @@ val create :
   ?fault_domain:(unit -> string option) ->
   ?queues:int ->
   ?rss_seed:int ->
+  ?fault:Td_fault.Engine.t ->
   dma:Td_mem.Addr_space.t ->
   mac:string ->
   tx_frame:(string -> unit) ->
@@ -43,7 +44,8 @@ val create :
     validation faults (bad register offsets, out-of-range ring cursors,
     descriptors pointing outside mapped memory) are attributed; they
     raise the typed {!Td_xen.Guest_fault.Fault} instead of
-    [Invalid_argument].
+    [Invalid_argument]. [fault] hosts the stuck-DMA, lost-IRQ and
+    corrupt-RX injection sites (default: a disarmed engine).
 
     [queues] (default 1, max {!Regs.max_queues}) enables MSI-X-style
     multi-queue: each queue gets its own tx/rx descriptor ring pair

@@ -41,11 +41,13 @@ type t = {
   mutable miss_count : int;
   mutable collision_count : int;
   mutable fault_count : int;
+  fault : Td_fault.Engine.t;  (** hosts the [Svm_wild_access] site *)
 }
 
 let create_hypervisor ?(map_pairs = true)
     ?(window_pages = Td_mem.Layout.map_window_pages)
-    ?(stlb_vaddr = Td_mem.Layout.stlb_base) ~dom0 ~hyp () =
+    ?(stlb_vaddr = Td_mem.Layout.stlb_base)
+    ?(fault = Td_fault.Engine.create ()) ~dom0 ~hyp () =
   if window_pages < 2 || window_pages land 1 <> 0 then
     invalid_arg "Svm.Runtime: window_pages must be even and >= 2";
   {
@@ -67,9 +69,11 @@ let create_hypervisor ?(map_pairs = true)
     miss_count = 0;
     collision_count = 0;
     fault_count = 0;
+    fault;
   }
 
-let create_identity ~dom0 ~stlb_vaddr =
+let create_identity ?(fault = Td_fault.Engine.create ()) ~dom0 ~stlb_vaddr
+    () =
   {
     mode = Identity;
     map_pairs = true;
@@ -89,6 +93,7 @@ let create_identity ~dom0 ~stlb_vaddr =
     miss_count = 0;
     collision_count = 0;
     fault_count = 0;
+    fault;
   }
 
 let mode t = t.mode
@@ -264,10 +269,8 @@ let miss t addr =
       (* fault-injection site: a planned wild access manifests exactly
          like a driver bug — a first-touch address past the dom0 range
          failing validation on the slow path *)
-      if
-        Td_fault.Engine.active ()
-        && Td_fault.Engine.fire Td_fault.Svm_wild_access
-      then fault t addr "injected wild access outside dom0 range";
+      if Td_fault.Engine.fire t.fault Td_fault.Svm_wild_access then
+        fault t addr "injected wild access outside dom0 range";
       let ok = valid_dom0_page t addr in
       if Td_obs.Control.enabled () then begin
         Td_obs.Metrics.bump "svm.validate";

@@ -31,6 +31,7 @@ val create_hypervisor :
   ?map_pairs:bool ->
   ?window_pages:int ->
   ?stlb_vaddr:int ->
+  ?fault:Td_fault.Engine.t ->
   dom0:Td_mem.Addr_space.t ->
   hyp:Td_mem.Addr_space.t ->
   unit ->
@@ -46,10 +47,18 @@ val create_hypervisor :
     smaller windows reclaim sooner. When the successor page of a mapped
     pair has no dom0 mapping (edge of the dom0 range, or [map_pairs]
     off), its window page is backed by a poison device so a straddling
-    access raises {!Fault} instead of reading stale window contents. *)
+    access raises {!Fault} instead of reading stale window contents.
+    [fault] hosts the {!Td_fault.Svm_wild_access} site on the slow path
+    (default: a disarmed engine). *)
 
-val create_identity : dom0:Td_mem.Addr_space.t -> stlb_vaddr:int -> t
-(** VM instance runtime: stlb at [stlb_vaddr] in dom0 space. *)
+val create_identity :
+  ?fault:Td_fault.Engine.t ->
+  dom0:Td_mem.Addr_space.t ->
+  stlb_vaddr:int ->
+  unit ->
+  t
+(** VM instance runtime: stlb at [stlb_vaddr] in dom0 space; [fault] as
+    for {!create_hypervisor}. *)
 
 val mode : t -> mode
 val stlb : t -> Stlb.t

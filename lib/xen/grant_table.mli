@@ -7,11 +7,13 @@ type grant_ref = int
 
 type t
 
-val create : owner:Domain.t -> t
+val create : ?quota:Quota.t -> owner:Domain.t -> unit -> t
+(** [quota] is the engine charged for the owner's entries, mappings and
+    copy bandwidth (default: none, nothing is policed). *)
 
 val grant : t -> frame:Td_mem.Phys_mem.frame -> grant_ref
 (** Guest-side: make a frame available. Subject to the
-    {!Quota.Grant_entries} cap when quotas are installed. *)
+    {!Quota.Grant_entries} cap when the table has a quota engine. *)
 
 val revoke : t -> grant_ref -> unit
 (** Guest-side: take the page back — always succeeds for a live ref.

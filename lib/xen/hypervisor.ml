@@ -3,18 +3,29 @@ type t = {
   ledger : Ledger.t;
   xen_space : Td_mem.Addr_space.t;
   cpu : Td_cpu.State.t;
+  quota : Quota.t option;
   mutable domains : Domain.t list;
   mutable current : Domain.t option;
   mutable switches : int;
 }
 
-let create ?(costs = Sys_costs.default) ~ledger ~xen_space ~cpu () =
-  { costs; ledger; xen_space; cpu; domains = []; current = None; switches = 0 }
+let create ?(costs = Sys_costs.default) ?quota ~ledger ~xen_space ~cpu () =
+  {
+    costs;
+    ledger;
+    xen_space;
+    cpu;
+    quota;
+    domains = [];
+    current = None;
+    switches = 0;
+  }
 
 let costs t = t.costs
 let ledger t = t.ledger
 let xen_space t = t.xen_space
 let cpu t = t.cpu
+let quota t = t.quota
 
 exception No_domains of { op : string }
 

@@ -6,16 +6,20 @@ type t
 
 val create :
   ?costs:Sys_costs.t ->
+  ?quota:Quota.t ->
   ledger:Ledger.t ->
   xen_space:Td_mem.Addr_space.t ->
   cpu:Td_cpu.State.t ->
   unit ->
   t
+(** [quota] is the owning world's quota engine (default: none). Every
+    quota site reaches it through the hypervisor it already holds. *)
 
 val costs : t -> Sys_costs.t
 val ledger : t -> Ledger.t
 val xen_space : t -> Td_mem.Addr_space.t
 val cpu : t -> Td_cpu.State.t
+val quota : t -> Quota.t option
 
 exception No_domains of { op : string }
 (** An operation needed a current domain but the hypervisor has none —

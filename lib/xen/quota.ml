@@ -1,7 +1,6 @@
-(* Per-domain resource quotas. Engine state is first-class (make /
-   with_state), with a per-OCaml-domain ambient slot like
-   Td_fault.Engine: no engine visible means every check is a no-op,
-   keeping zero-quota runs bit-identical to the seed. Rate buckets
+(* Per-domain resource quotas. An engine is a plain value owned by one
+   world; the sites hold it as an option, and [None] makes every check a
+   no-op, keeping zero-quota runs bit-identical to the seed. Rate buckets
    refill on the simulated clock supplied at construction time, so
    enforcement is deterministic. *)
 
@@ -89,27 +88,13 @@ type dom_state = {
   throttles : int array;
 }
 
-type state = {
+type t = {
   lim : limits;
   now : unit -> float;
   exempt : (string, unit) Hashtbl.t;
   doms : (string, dom_state) Hashtbl.t;
   mutable throttled : int;
 }
-
-(* The ambient engine slot is per OCaml domain (DLS): spawned shard
-   workers start with no ambient engine, and a World carrying a private
-   engine scopes it around its entry points with [with_state]. *)
-let slot : state option ref Stdlib.Domain.DLS.key =
-  Stdlib.Domain.DLS.new_key (fun () -> ref None)
-
-let current () = !(Stdlib.Domain.DLS.get slot)
-
-let with_state st f =
-  let r = Stdlib.Domain.DLS.get slot in
-  let saved = !r in
-  r := Some st;
-  Fun.protect ~finally:(fun () -> r := saved) f
 
 let resource_index = function
   | Map_window_pages -> 0
@@ -147,13 +132,6 @@ let make ?(now = fun () -> 0.) ?(exempt = []) lim =
   let ex = Hashtbl.create 4 in
   List.iter (fun d -> Hashtbl.replace ex d ()) exempt;
   { lim; now; exempt = ex; doms = Hashtbl.create 8; throttled = 0 }
-
-let install ?now ?exempt lim =
-  Stdlib.Domain.DLS.get slot := Some (make ?now ?exempt lim)
-
-let clear () = Stdlib.Domain.DLS.get slot := None
-let active () = Option.is_some (current ())
-let limits () = Option.map (fun e -> e.lim) (current ())
 
 let dom_state e domain =
   match Hashtbl.find_opt e.doms domain with
@@ -193,8 +171,8 @@ let note_throttle e d domain res =
 let exceeded domain res =
   raise (Quota_exceeded { domain; resource = resource_name res })
 
-let acquire ~domain res n =
-  match current () with
+let acquire q ~domain res n =
+  match q with
   | None -> ()
   | Some e ->
       if not (Hashtbl.mem e.exempt domain) then begin
@@ -209,8 +187,8 @@ let acquire ~domain res n =
         inuse_gauge domain res d.held.(i)
       end
 
-let release ~domain res n =
-  match current () with
+let release q ~domain res n =
+  match q with
   | None -> ()
   | Some e ->
       if not (Hashtbl.mem e.exempt domain) then begin
@@ -220,8 +198,8 @@ let release ~domain res n =
         inuse_gauge domain res d.held.(i)
       end
 
-let try_take_n ~domain res n =
-  match current () with
+let try_take_n q ~domain res n =
+  match q with
   | None -> true
   | Some e ->
       Hashtbl.mem e.exempt domain
@@ -256,42 +234,53 @@ let try_take_n ~domain res n =
         end
       end
 
-let try_take ~domain res = try_take_n ~domain res 1
+let try_take q ~domain res = try_take_n q ~domain res 1
 
-let take_n ~domain res n =
-  if not (try_take_n ~domain res n) then exceeded domain res
+let take_n q ~domain res n =
+  if not (try_take_n q ~domain res n) then exceeded domain res
 
-let take ~domain res = take_n ~domain res 1
+let take q ~domain res = take_n q ~domain res 1
 
-let inuse ~domain res =
-  match current () with
+let inuse e ~domain res =
+  match Hashtbl.find_opt e.doms domain with
   | None -> 0
-  | Some e -> (
-      match Hashtbl.find_opt e.doms domain with
-      | None -> 0
-      | Some d -> d.held.(resource_index res))
+  | Some d -> d.held.(resource_index res)
 
-let throttled () = match current () with None -> 0 | Some e -> e.throttled
+let throttled e = e.throttled
 
-let throttled_for ~domain res =
-  match current () with
+let throttled_for e ~domain res =
+  match Hashtbl.find_opt e.doms domain with
   | None -> 0
-  | Some e -> (
-      match Hashtbl.find_opt e.doms domain with
-      | None -> 0
-      | Some d -> d.throttles.(resource_index res))
+  | Some d -> d.throttles.(resource_index res)
 
-let domains () =
-  match current () with
-  | None -> []
-  | Some e ->
-      Hashtbl.fold (fun k _ acc -> k :: acc) e.doms [] |> List.sort compare
+let domains e =
+  Hashtbl.fold (fun k _ acc -> k :: acc) e.doms [] |> List.sort compare
 
-let forget ~domain =
-  match current () with
+type row = {
+  domain : string;
+  resource : resource;
+  inuse : int;
+  throttled : int;
+}
+
+let rows e =
+  List.concat_map
+    (fun domain ->
+      List.filter_map
+        (fun resource ->
+          let inuse = inuse e ~domain resource
+          and throttled = throttled_for e ~domain resource in
+          if inuse > 0 || throttled > 0 then
+            Some { domain; resource; inuse; throttled }
+          else None)
+        all_resources)
+    (domains e)
+
+let forget q ~domain =
+  match q with
   | None -> ()
-  | Some e ->
-      (match Hashtbl.find_opt e.doms domain with
+  | Some e -> (
+      match Hashtbl.find_opt e.doms domain with
       | None -> ()
       | Some d ->
           if Td_obs.Control.enabled () then
@@ -300,12 +289,3 @@ let forget ~domain =
                 if d.held.(resource_index res) <> 0 then inuse_gauge domain res 0)
               all_resources;
           Hashtbl.remove e.doms domain)
-
-let reset_counters () =
-  match current () with
-  | None -> ()
-  | Some e ->
-      e.throttled <- 0;
-      Hashtbl.iter
-        (fun _ d -> Array.fill d.throttles 0 n_resources 0)
-        e.doms

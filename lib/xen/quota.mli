@@ -8,18 +8,17 @@
       or raises; {!release} returns the units.
     - {b Rate caps} (upcalls, channel notifications, doorbell kicks): a
       token bucket per (domain, resource) refilled on {e simulated} time —
-      the clock passed to {!install}, typically ledger cycles divided by
+      the clock passed to {!make}, typically ledger cycles divided by
       the simulated CPU frequency — so enforcement is deterministic and
       bit-identical across runs.
 
-    Like {!Td_fault.Engine}, engine state is first-class ({!make}) and
-    each OCaml domain carries an ambient slot (domain-local storage)
-    that {!install}/{!clear} set directly and {!with_state} scopes
-    around a callback — a [World] with a private quota engine wraps its
-    entry points in it, so N worlds (and N parallel shards) enforce
-    independently. The slot is {e empty} by default: with no engine
-    visible every check is a no-op costing nothing, so zero-quota runs
-    are bit-identical to the seed. Denials raise the typed
+    An engine ({!t}) is a plain value owned by one world, which hands it
+    to the hypervisor and from there to every site (grant tables, I/O
+    channels, upcall stubs, the SVM window guard); N worlds and N
+    parallel shards enforce independently. Sites hold a [t option]: the
+    check functions below take that option, and [None] — no engine —
+    makes every check a no-op costing nothing, so zero-quota runs are
+    bit-identical to the seed. Denials raise the typed
     {!Quota_exceeded} (contained by callers exactly like
     {!Guest_fault.Fault}) and are counted — always in plain counters,
     additionally in the [xen.quota_throttled]/[xen.quota_inuse.*] metrics
@@ -52,7 +51,7 @@ type limits = {
 }
 
 val unlimited : limits
-(** Every cap disabled — installing this is equivalent to not installing. *)
+(** Every cap disabled — an engine with these limits admits everything. *)
 
 val default_limits : limits
 (** Finite caps sized for the bench/tdctl demos. *)
@@ -72,69 +71,64 @@ val resource_name : resource -> string
 
 exception Quota_exceeded of { domain : string; resource : string }
 
-type state
+type t
 (** A quota engine: limits, simulated clock, exempt set and the
     per-domain held/bucket/throttle tables. *)
 
-val make : ?now:(unit -> float) -> ?exempt:string list -> limits -> state
+val make : ?now:(unit -> float) -> ?exempt:string list -> limits -> t
 (** Build a fresh engine. [now] is the simulated clock in seconds
     (default: a frozen clock, so rate buckets never refill past
     [burst]); [exempt] domains (typically dom0) pass every check. *)
 
-val with_state : state -> (unit -> 'a) -> 'a
-(** Run [f] with [state] as the calling OCaml domain's ambient engine,
-    restoring whatever was visible before on exit (exception-safe).
-    Held units, buckets and throttle counters accumulate in [state]
-    across calls. *)
+(** {2 Checks} Each takes the site's engine option; [None] admits. *)
 
-val install : ?now:(unit -> float) -> ?exempt:string list -> limits -> unit
-(** Arm the ambient slot with a fresh engine ({!make} + set), so all
-    counters start from zero. *)
-
-val clear : unit -> unit
-(** Empties the ambient slot; module-level readers return zero/empty
-    once no engine is visible. *)
-
-val active : unit -> bool
-val limits : unit -> limits option
-
-val acquire : domain:string -> resource -> int -> unit
+val acquire : t option -> domain:string -> resource -> int -> unit
 (** Claim [n] units of a concurrency-capped resource; raises
     {!Quota_exceeded} (and counts the throttle) if the domain would
-    exceed its cap. No-op while inactive. *)
+    exceed its cap. *)
 
-val release : domain:string -> resource -> int -> unit
+val release : t option -> domain:string -> resource -> int -> unit
 
-val try_take : domain:string -> resource -> bool
+val try_take : t option -> domain:string -> resource -> bool
 (** Draw one token from a rate bucket. [false] (counted as a throttle)
     when the bucket is dry — for callers that degrade gracefully (skip
-    the kick, leave the frame staged). Always [true] while inactive. *)
+    the kick, leave the frame staged). *)
 
-val take : domain:string -> resource -> unit
+val take : t option -> domain:string -> resource -> unit
 (** {!try_take} for callers that cannot proceed: raises
     {!Quota_exceeded} when the bucket is dry. *)
 
-val try_take_n : domain:string -> resource -> int -> bool
+val try_take_n : t option -> domain:string -> resource -> int -> bool
 (** Draw [n] tokens at once — the whole draw succeeds or none of it
     does. Byte-denominated resources ([Grant_copy_bytes]) refill into a
     [grant_copy_burst_bytes]-deep bucket. *)
 
-val take_n : domain:string -> resource -> int -> unit
+val take_n : t option -> domain:string -> resource -> int -> unit
 (** {!try_take_n} raising {!Quota_exceeded} on a dry bucket. *)
 
-val inuse : domain:string -> resource -> int
+val forget : t option -> domain:string -> unit
+(** Drop the engine's state for [domain] — held units, buckets and
+    per-domain throttle counts (aggregate {!throttled} is kept). Called
+    when a domain is destroyed so the registry leaves no dangling quota
+    rows. *)
+
+(** {2 Readers} *)
+
+val inuse : t -> domain:string -> resource -> int
 (** Current units held (concurrency resources; 0 for rate resources). *)
 
-val throttled : unit -> int
-(** Total denials since {!install} (or {!reset_counters}). *)
+val throttled : t -> int
+(** Total denials since {!make}. *)
 
-val throttled_for : domain:string -> resource -> int
-val domains : unit -> string list
+val throttled_for : t -> domain:string -> resource -> int
 
-val forget : domain:string -> unit
-(** Drop the visible engine's state for [domain] — held units, buckets
-    and per-domain throttle counts (aggregate {!throttled} is kept).
-    Called when a domain is destroyed so the registry leaves no
-    dangling quota rows. No-op while inactive. *)
+type row = {
+  domain : string;
+  resource : resource;
+  inuse : int;
+  throttled : int;
+}
 
-val reset_counters : unit -> unit
+val rows : t -> row list
+(** One row per (domain, resource) that holds units or was throttled,
+    domains sorted by name, resources in {!all_resources} order. *)

@@ -19,6 +19,7 @@ exception Upcall_failed of { routine : string }
     hypervisor driver instance aborts and the supervisor restarts it. *)
 
 val make_stub :
+  ?fault:Td_fault.Engine.t ->
   hyp:Hypervisor.t ->
   dom0:Domain.t ->
   name:string ->
@@ -27,6 +28,8 @@ val make_stub :
   Td_cpu.Native.fn
 (** Wrap the dom0 support-routine implementation [impl] into an upcall
     stub suitable for registration under the routine's symbol in the
-    hypervisor driver's symbol table. *)
+    hypervisor driver's symbol table. [fault] hosts the
+    {!Td_fault.Upcall_fail} site (default: a disarmed engine); upcall
+    tokens are drawn from [Hypervisor.quota hyp]. *)
 
 val fresh_stats : unit -> stats

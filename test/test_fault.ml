@@ -15,43 +15,46 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let with_plan plan f =
-  Td_fault.Engine.install plan;
-  Fun.protect ~finally:(fun () -> Td_fault.Engine.clear ()) f
+(* arm [w]'s own engine for the duration of [f] *)
+let with_plan w plan f =
+  let e = World.fault_engine w in
+  Td_fault.Engine.arm e plan;
+  Fun.protect ~finally:(fun () -> Td_fault.Engine.disarm e) f
+
+let with_tuning_plan plan =
+  { Config.default_tuning with Config.fault_plan = Some plan }
 
 (* --- engine: same plan, same stream --- *)
 
 let test_engine_deterministic () =
-  let sample () =
-    with_plan { (Td_fault.uniform_plan ~seed:7 0.3) with interp_bitflip = 0.3 }
-      (fun () ->
-        List.init 200 (fun _ -> Td_fault.Engine.fire Td_fault.Interp_bitflip))
+  let sample seed =
+    let e =
+      Td_fault.Engine.make
+        { (Td_fault.uniform_plan ~seed 0.3) with interp_bitflip = 0.3 }
+    in
+    List.init 200 (fun _ -> Td_fault.Engine.fire e Td_fault.Interp_bitflip)
   in
-  let a = sample () and b = sample () in
+  let a = sample 7 and b = sample 7 in
   check bool_c "same seed, same injection sequence" true (a = b);
   check bool_c "some fired" true (List.mem true a);
   check bool_c "some did not" true (List.mem false a);
-  let c =
-    with_plan { (Td_fault.uniform_plan ~seed:8 0.3) with interp_bitflip = 0.3 }
-      (fun () ->
-        List.init 200 (fun _ -> Td_fault.Engine.fire Td_fault.Interp_bitflip))
-  in
+  let c = sample 8 in
   check bool_c "different seed, different sequence" true (a <> c)
 
 let test_engine_counters () =
-  with_plan (Td_fault.uniform_plan ~seed:3 1.0) (fun () ->
-      ignore (Td_fault.Engine.fire Td_fault.Nic_corrupt_rx);
-      ignore (Td_fault.Engine.fire Td_fault.Upcall_fail);
-      check int_c "two injections counted" 2 (Td_fault.Engine.injected ());
-      check int_c "per-site count" 1
-        (Td_fault.Engine.injected_at Td_fault.Nic_corrupt_rx);
-      Td_fault.Engine.suspend (fun () ->
-          check bool_c "suspended engine never fires" false
-            (Td_fault.Engine.fire Td_fault.Nic_corrupt_rx));
-      Td_fault.Engine.note_lost 3;
-      check int_c "lost frames ledger" 3 (Td_fault.Engine.lost_frames ());
-      Td_fault.Engine.reset_counters ();
-      check int_c "counters reset" 0 (Td_fault.Engine.injected ()))
+  let e = Td_fault.Engine.make (Td_fault.uniform_plan ~seed:3 1.0) in
+  ignore (Td_fault.Engine.fire e Td_fault.Nic_corrupt_rx);
+  ignore (Td_fault.Engine.fire e Td_fault.Upcall_fail);
+  check int_c "two injections counted" 2 (Td_fault.Engine.injected e);
+  check int_c "per-site count" 1
+    (Td_fault.Engine.injected_at e Td_fault.Nic_corrupt_rx);
+  Td_fault.Engine.suspend e (fun () ->
+      check bool_c "suspended engine never fires" false
+        (Td_fault.Engine.fire e Td_fault.Nic_corrupt_rx));
+  Td_fault.Engine.note_lost e 3;
+  check int_c "lost frames ledger" 3 (Td_fault.Engine.lost_frames e);
+  Td_fault.Engine.reset_counters e;
+  check int_c "counters reset" 0 (Td_fault.Engine.injected e)
 
 (* --- zero plan: bit-identical to no plan at all --- *)
 
@@ -72,13 +75,14 @@ let run_workload w =
 
 let test_zero_plan_bit_identical () =
   let baseline = run_workload (World.create ~nics:2 Config.Xen_twin) in
-  let zeroed =
-    with_plan Td_fault.zero_plan (fun () ->
-        run_workload (World.create ~nics:2 Config.Xen_twin))
+  let zw =
+    World.create ~nics:2 ~tuning:(with_tuning_plan Td_fault.zero_plan)
+      Config.Xen_twin
   in
+  let zeroed = run_workload zw in
   check bool_c "ledger and wire identical under zero plan" true
     (baseline = zeroed);
-  check int_c "zero plan injected nothing" 0 (Td_fault.Engine.injected ())
+  check int_c "zero plan injected nothing" 0 (World.fault_injected zw)
 
 (* --- SVM wild access: abort contained, hypervisor survives --- *)
 
@@ -86,7 +90,7 @@ let wild_only = { Td_fault.zero_plan with Td_fault.svm_wild_access = 1.0 }
 
 let test_wild_access_contained () =
   let w = World.create ~nics:2 Config.Xen_twin in
-  with_plan wild_only (fun () ->
+  with_plan w wild_only (fun () ->
       check bool_c "transmit aborts" true
         (match World.transmit w ~nic:0 ~payload with
         | exception World.Driver_aborted reason ->
@@ -120,7 +124,7 @@ let test_recovery_restores_shadow () =
   (* scribble the netdev's mtu as a corrupted instance would, then force
      an abort so the supervisor restarts and repairs from shadow *)
   Td_kernel.Netdev.set_mtu (World.netdev w ~nic:0) 9999;
-  with_plan wild_only (fun () ->
+  with_plan w wild_only (fun () ->
       check bool_c "restart absorbs the abort" false
         (World.transmit w ~nic:0 ~payload));
   check bool_c "a recovery ran" true (World.recoveries w >= 1);
@@ -140,7 +144,7 @@ let test_replay_policy_delivers () =
     { Config.default_tuning with Config.recovery = Config.Restart_replay }
   in
   let w = World.create ~nics:1 ~tuning Config.Xen_twin in
-  with_plan wild_only (fun () ->
+  with_plan w wild_only (fun () ->
       (* the abort recovers and the frame is replayed on the fresh twin *)
       check bool_c "replayed transmit succeeds" true
         (World.transmit w ~nic:0 ~payload));
@@ -239,32 +243,35 @@ let device_plan =
 
 let plan_run plan dispatch =
   let tuning =
-    { Config.default_tuning with Config.recovery = Config.Restart_replay }
+    {
+      Config.default_tuning with
+      Config.recovery = Config.Restart_replay;
+      fault_plan = plan;
+    }
   in
   let w = World.create ~nics:2 ~tuning Config.Xen_twin in
   let interp = World.interp w in
   Td_cpu.Interp.set_dispatch interp dispatch;
   let hits0 = Td_cpu.Interp.compiled_hits interp in
-  let under_plan f = match plan with Some p -> with_plan p f | None -> f () in
-  under_plan (fun () ->
-      for i = 0 to 119 do
-        ignore (World.transmit w ~nic:(i mod 2) ~payload);
-        World.inject_rx w ~nic:(i mod 2) ~payload;
-        if i mod 8 = 7 then begin
-          World.pump w;
-          World.tick w
-        end
-      done;
+  for i = 0 to 119 do
+    ignore (World.transmit w ~nic:(i mod 2) ~payload);
+    World.inject_rx w ~nic:(i mod 2) ~payload;
+    if i mod 8 = 7 then begin
       World.pump w;
-      World.tick w;
-      ( ( List.map (Td_xen.Ledger.total (World.ledger w)) Td_xen.Ledger.categories,
-          World.wire_tx_frames w,
-          World.delivered_rx_frames w,
-          List.map
-            (fun site -> (site, Td_fault.Engine.injected_at site))
-            Td_fault.all_sites,
-          Td_fault.Engine.lost_frames () ),
-        Td_cpu.Interp.compiled_hits interp - hits0 ))
+      World.tick w
+    end
+  done;
+  World.pump w;
+  World.tick w;
+  ( ( List.map (Td_xen.Ledger.total (World.ledger w)) Td_xen.Ledger.categories,
+      World.wire_tx_frames w,
+      World.delivered_rx_frames w,
+      List.map
+        (fun site ->
+          (site, Td_fault.Engine.injected_at (World.fault_engine w) site))
+        Td_fault.all_sites,
+      World.fault_lost w ),
+    Td_cpu.Interp.compiled_hits interp - hits0 )
 
 (* Recovery runs with injection suspended, so it took the compiled tier
    even before; the rest of the run must take it too. *)
@@ -301,6 +308,86 @@ let test_bitflip_plan_unchanged () =
     [ 4; 34; 1; 15; 4; 0 ] (List.map snd injected);
   check int_c "golden lost frames" 6 lost
 
+(* --- two worlds on one OCaml domain keep their engines apart --- *)
+
+(* World A has a quota and a plan that arms every site; world B has
+   neither. Driven interleaved on the calling domain, each must end up
+   exactly where it ends up when run alone. *)
+let every_site_plan =
+  { (Td_fault.uniform_plan ~seed:5 0.01) with interp_bitflip = 1e-4 }
+
+let world_a () =
+  World.create ~nics:2 ~upcall_set:[ "spin_trylock" ]
+    ~tuning:
+      {
+        Config.default_tuning with
+        Config.recovery = Config.Restart_replay;
+        (* no map-window cap: a recovery re-pins the sk_buff pool, and
+           that is charged to the guest *)
+        quota =
+          Some
+            {
+              Td_xen.Quota.default_limits with
+              Td_xen.Quota.upcalls_per_s = 50_000.;
+              map_window_pages = 0;
+            };
+        fault_plan = Some every_site_plan;
+      }
+    Config.Xen_twin
+
+let world_b () = World.create ~nics:2 Config.Xen_twin
+
+let contained f =
+  try f () with World.Driver_aborted _ | World.Nic_quarantined _ -> ()
+
+let step w i =
+  contained (fun () -> ignore (World.transmit w ~nic:(i mod 2) ~payload));
+  contained (fun () -> World.inject_rx w ~nic:(i mod 2) ~payload);
+  if i mod 8 = 7 then begin
+    contained (fun () -> World.pump w);
+    contained (fun () -> World.tick w)
+  end
+
+let outcome w =
+  ( List.map (Td_xen.Ledger.total (World.ledger w)) Td_xen.Ledger.categories,
+    ( World.wire_tx_frames w,
+      World.wire_tx_bytes w,
+      World.delivered_rx_frames w ),
+    (World.fault_injected w, World.fault_lost w, World.quota_throttled w) )
+
+let frames = 120
+
+let solo make =
+  let w = make () in
+  for i = 0 to frames - 1 do
+    step w i
+  done;
+  outcome w
+
+let test_two_worlds_isolated () =
+  let a = world_a () and b = world_b () in
+  for i = 0 to frames - 1 do
+    step a i;
+    step b i
+  done;
+  let ((_, _, (injected, _, throttled)) as oa) = outcome a in
+  check bool_c "world A injected faults" true (injected > 0);
+  check bool_c "world A was throttled" true (throttled > 0);
+  check bool_c "world A as when run alone" true (oa = solo world_a);
+  check bool_c "world B as when run alone" true (outcome b = solo world_b);
+  let _, _, (_, _, b_throttled) = outcome b in
+  check int_c "world B saw no quota" 0 b_throttled;
+  (* resetting one world's measurement leaves the other's engine alone *)
+  let a_counters () =
+    (World.fault_injected a, World.fault_lost a, World.quota_throttled a)
+  in
+  let before = a_counters () in
+  World.reset_measurement b;
+  check bool_c "A's fault counters survive B's reset" true
+    (a_counters () = before);
+  World.reset_measurement a;
+  check int_c "A's own reset clears its injections" 0 (World.fault_injected a)
+
 (* --- typed guest faults --- *)
 
 let bare_hypervisor () =
@@ -320,7 +407,7 @@ let test_guest_fault_bad_grant () =
   let owner =
     Td_xen.Domain.create ~id:9 ~name:"g" ~kind:Td_xen.Domain.Guest ~space
   in
-  let gt = Td_xen.Grant_table.create ~owner in
+  let gt = Td_xen.Grant_table.create ~owner () in
   (* a bad grant reference is a typed, counted fault — not a crash *)
   let before = Td_xen.Guest_fault.total () in
   check bool_c "bad ref typed fault" true
@@ -361,6 +448,8 @@ let suite =
       test_device_plan_compiled;
     Alcotest.test_case "bit-flip plan unchanged" `Quick
       test_bitflip_plan_unchanged;
+    Alcotest.test_case "two worlds keep their engines apart" `Quick
+      test_two_worlds_isolated;
     Alcotest.test_case "guest fault: bad grant ref" `Quick
       test_guest_fault_bad_grant;
     Alcotest.test_case "no-domains error names op" `Quick

@@ -112,6 +112,24 @@ let decode_valid_prefix_prop =
         | exception Invalid_argument _ -> false (* must not leak *)
       end)
 
+(* Byte 15 is the top byte of the header's instruction count: 0x40 there
+   asks for ~1G instructions from a few KiB of input, which once sized an
+   [Array.init] before any instruction was read (QCHECK_SEED=570114880
+   hit it). It must be a typed [Malformed], allocating nothing. *)
+let test_decode_oversized_count () =
+  let prog =
+    Program.assemble
+      ~symbols:(fun _ -> Some Td_mem.Layout.native_base)
+      ~base:Td_mem.Layout.vm_driver_code_base
+      (Td_driver.E1000_driver.source ())
+  in
+  let b = Encode.encode prog in
+  Bytes.set b 15 '\x40';
+  check bool_c "oversized count is Malformed" true
+    (match Decode.decode b with
+    | _ -> false
+    | exception Decode.Malformed _ -> true)
+
 (* --- interpreter engines: one semantics, three dispatchers --- *)
 
 (* Random structured programs (forward-only control flow, so every
@@ -272,6 +290,8 @@ let suite =
     QCheck_alcotest.to_alcotest kmem_no_overlap_prop;
     QCheck_alcotest.to_alcotest decode_fuzz_prop;
     QCheck_alcotest.to_alcotest decode_valid_prefix_prop;
+    Alcotest.test_case "decode rejects an oversized instruction count" `Quick
+      test_decode_oversized_count;
     QCheck_alcotest.to_alcotest engine_equivalence_prop;
     QCheck_alcotest.to_alcotest ledger_prop;
     Alcotest.test_case "stats percentile edges" `Quick
