@@ -478,3 +478,17 @@ let run ?(seed = 1) ?quota ~ops () =
     Td_obs.Metrics.bump_by "adv.violations" (List.length report.violations)
   end;
   report
+
+let bit_identical a b = a.checksum = b.checksum && a.ok = b.ok
+
+let failures ?(min_ops = 0) r ~replay =
+  List.filter_map
+    (fun (bad, msg) -> if bad then Some msg else None)
+    [
+      ( r.ops < min_ops,
+        Printf.sprintf "fuzz ran only %d ops (< %d)" r.ops min_ops );
+      ( r.violations <> [],
+        "fuzz invariant violations: " ^ String.concat "; " r.violations );
+      ( not (bit_identical r replay),
+        "fixed-seed fuzz replay was not bit-identical" );
+    ]

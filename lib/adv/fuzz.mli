@@ -45,3 +45,12 @@ val run : ?seed:int -> ?quota:Td_xen.Quota.limits -> ops:int -> unit -> report
     [ops] fuzzed operations. [seed] defaults to 1. The [adv.*] metrics
     are bumped when observability is on; with it off the run leaves no
     trace beyond the returned report. *)
+
+val bit_identical : report -> report -> bool
+(** Same {!report.checksum} and [ok] count: a same-seed replay. *)
+
+val failures : ?min_ops:int -> report -> replay:report -> string list
+(** The fuzz gates, one message per failed condition: no invariant
+    violations, and [replay] (the same seed run again) is
+    {!bit_identical}. [min_ops] (default 0) is a run-size floor, set by
+    the caller that chose [ops]. *)

@@ -283,3 +283,50 @@ let contend ?quota ?(frames = 200) ?(attack_per_frame = 20)
     other_cycles = grand_cycles - attacker_row;
     grand_cycles;
   }
+
+(* victim goodput in Mb/s of simulated time: its 1400-byte frames over
+   the run's grand-total cycles at the 3 GHz simulated clock *)
+let victim_mbps c =
+  float_of_int (c.victim_wire * 1400 * 8)
+  /. (float_of_int c.grand_cycles /. 3e9)
+  /. 1e6
+
+type neighbour = {
+  solo : contention;
+  quota_on : contention;
+  quota_off : contention;
+  ratio_on : float;
+  ratio_off : float;
+}
+
+let neighbour () =
+  let fair =
+    { Quota.unlimited with Quota.notifications_per_s = 25_000.; burst = 16. }
+  in
+  let solo = contend ~attack_per_frame:0 () in
+  let quota_on = contend ~quota:fair () in
+  let quota_off = contend () in
+  {
+    solo;
+    quota_on;
+    quota_off;
+    ratio_on = victim_mbps quota_on /. victim_mbps solo;
+    ratio_off = victim_mbps quota_off /. victim_mbps solo;
+  }
+
+let neighbour_failures n =
+  List.filter_map
+    (fun (bad, msg) -> if bad then Some msg else None)
+    [
+      (* the quota payoff: the victim keeps >= 90% of its solo
+         throughput with the attacker rate-limited, and visibly less
+         without *)
+      ( n.ratio_on < 0.9,
+        Printf.sprintf "victim throughput with quotas %.3f < 0.9 of solo"
+          n.ratio_on );
+      ( n.ratio_off >= 0.8,
+        Printf.sprintf "unprotected run not degraded (%.3f of solo)"
+          n.ratio_off );
+      ( n.quota_on.victim_throttled <> 0,
+        "fair quota throttled the well-behaved victim" );
+    ]

@@ -103,3 +103,25 @@ val contend :
     dom0 backend work, so throughput stays within a few percent of a
     solo run ([attack_per_frame = 0]); without quotas every burst frame
     takes the full path and throughput collapses. *)
+
+val victim_mbps : contention -> float
+(** The victim's goodput in Mb/s of simulated time: its 1400-byte
+    frames over [grand_cycles] at the 3 GHz simulated clock. *)
+
+type neighbour = {
+  solo : contention;  (** no attacker traffic *)
+  quota_on : contention;  (** attacker rate-limited by a fair quota *)
+  quota_off : contention;  (** attacker unpoliced *)
+  ratio_on : float;  (** [quota_on]'s {!victim_mbps} over [solo]'s *)
+  ratio_off : float;  (** [quota_off]'s over [solo]'s *)
+}
+
+val neighbour : unit -> neighbour
+(** The hostile-neighbour experiment: three {!contend} runs with default
+    sizes, the fair quota capping notifications at 25,000/s with a burst
+    of 16. *)
+
+val neighbour_failures : neighbour -> string list
+(** The hostile-neighbour gates, one message per failed condition: the
+    victim keeps >= 0.9 of its solo throughput under the quota, falls
+    below 0.8 without it, and the quota never throttles it. *)

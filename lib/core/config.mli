@@ -38,16 +38,6 @@ type tuning = {
           interrupt (1 = kick every frame, the paper's baseline).
           Flushed on ring pressure, {!World.pump} and {!World.tick}. *)
   recovery : recovery;  (** driver supervisor policy on abort. *)
-  compile_threshold : int;
-      (** Dispatches of a block entry before the interpreter promotes it
-          to a compiled superblock (default 8). Not observable under a
-          profiler hook or a plan that arms [interp_bitflip], which force
-          the per-instruction slow path. Simulated cycles are identical
-          either way. *)
-  superblock_cap : int;
-      (** Maximum instructions traced into one compiled superblock,
-          including blocks stitched across unconditional jumps and
-          fallthrough edges (default 64). *)
   doorbell : bool;
       (** Give each I/O channel a shared doorbell page with NAPI-style
           adaptive mode switching (see {!Xen_netio.doorbell_cfg}). Off by
@@ -88,10 +78,8 @@ type tuning = {
       (** OCaml domains used by {!Mq} to advance independent
           (guest, queue) execution contexts in parallel (default 1 =
           sequential). The merged cycle ledger is bit-identical for any
-          shard count — sharding changes host wall-clock only. *)
-  rss_seed : int;
-      (** Seed expanded into the 40-byte Toeplitz key of the RSS demux;
-          the same seed and 4-tuple always select the same queue. *)
+          shard count — sharding changes host wall-clock only. The RSS
+          demux is keyed from the fixed {!Td_nic.Rss.default_seed}. *)
 }
 
 val default_tuning : tuning

@@ -410,6 +410,45 @@ let doorbell ?(windows = 60) ?(warmup_windows = 4)
         loads)
     modes
 
+(* A gate's verdict: the message of every condition that failed. *)
+let failed checks =
+  List.filter_map (fun (bad, msg) -> if bad then Some msg else None) checks
+
+let doorbell_failures points =
+  let top =
+    List.fold_left (fun m p -> max m p.offered_per_window) 0 points
+  in
+  let pick mode load =
+    List.find_opt
+      (fun p -> p.db_mode = mode && p.offered_per_window = load)
+      points
+  in
+  match
+    (pick "adaptive" top, pick "interrupt" top, pick "adaptive" 0,
+     pick "interrupt" 0)
+  with
+  | Some a_top, Some i_top, Some a_idle, Some i_idle ->
+      failed
+        [
+          (* under load, polling suppresses nearly every kick *)
+          ( a_top.hypercalls_per_packet >= 0.05,
+            Printf.sprintf
+              "adaptive hypercalls/packet %.4f >= 0.05 at top offered load"
+              a_top.hypercalls_per_packet );
+          (* adaptive never regresses the idle path... *)
+          ( a_idle.db_cycles_total > i_idle.db_cycles_total,
+            Printf.sprintf "adaptive idle cost %d cycles > interrupt %d"
+              a_idle.db_cycles_total i_idle.db_cycles_total );
+          (* ... nor cycles/packet under load *)
+          ( a_top.db_cycles_per_packet > i_top.db_cycles_per_packet,
+            "adaptive cycles/packet above interrupt mode at top load" );
+        ]
+  | _ ->
+      [
+        "doorbell sweep lacks an adaptive or interrupt point at load 0 or \
+         at its top load";
+      ]
+
 (* ---- multi-queue NICs / sharded simulation ---- *)
 
 type mq_queue_point = {
@@ -579,6 +618,35 @@ let multiqueue ?(frames = 2048) ?(queue_counts = [ 1; 2; 4; 8 ])
     mq_ledger_bit_identical;
     mq_single_queue_identical;
   }
+
+let mq_speedup_min_cpus = 4
+
+let multiqueue_failures ~host_cpus r =
+  let mbps q =
+    match List.find_opt (fun p -> p.mq_queues = q) r.mq_points_queues with
+    | Some p -> p.mq_sim_mbps
+    | None -> Float.nan
+  in
+  (* nan, and so failing, when either point is missing *)
+  let scaling = mbps 8 /. mbps 1 in
+  failed
+    [
+      (* determinism gates hold on any host *)
+      ( not r.mq_ledger_bit_identical,
+        "merged ledger digests differ across shard counts" );
+      ( not r.mq_single_queue_identical,
+        "queues=1/shards=1 aggregate differs from a plain World" );
+      (* simulated concurrency: near-linear queue scaling *)
+      ( not (scaling >= 6.0),
+        Printf.sprintf
+          "8-queue simulated throughput only %.2fx the 1-queue point (< 6.0x)"
+          scaling );
+      (* host parallelism pays off only when the host has the cores *)
+      ( host_cpus >= mq_speedup_min_cpus && r.mq_speedup_at_4 < 3.0,
+        Printf.sprintf "wall-clock speedup at 4 shards %.2fx < 3.0x on a \
+                        %d-core host"
+          r.mq_speedup_at_4 host_cpus );
+    ]
 
 (* ---- ablations ---- *)
 
@@ -970,3 +1038,25 @@ let fleet ?(domains = 200) ?(frames = 1_000_000) ?(nics = 4) ?(seed = 7)
       deterministic := false
   done;
   { first with fl_deterministic = !deterministic }
+
+let fleet_failures ?(min_domains = 0) ?(min_frames = 0) r =
+  failed
+    [
+      ( r.fl_frames < min_frames,
+        Printf.sprintf "soak ran only %d frames (< %d)" r.fl_frames
+          min_frames );
+      ( r.fl_domains < min_domains,
+        Printf.sprintf "fleet had only %d domains (< %d)" r.fl_domains
+          min_domains );
+      (r.fl_churned = 0, "no runtime domain churn happened");
+      (* >= 99% of offered transmits delivered, quotas and faults armed *)
+      ( r.fl_availability < 0.99,
+        Printf.sprintf "availability %.4f < 0.99" r.fl_availability );
+      (not r.fl_conserved, "frame conservation violated");
+      ( r.fl_staged_after_shutdown <> 0,
+        Printf.sprintf "%d frames still staged after shutdown"
+          r.fl_staged_after_shutdown );
+      ( r.fl_dangling_doorbells <> 0,
+        Printf.sprintf "%d dangling doorbell pages" r.fl_dangling_doorbells );
+      (not r.fl_deterministic, "two identical soaks produced different digests");
+    ]

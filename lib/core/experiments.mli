@@ -141,6 +141,14 @@ val doorbell :
   unit ->
   doorbell_point list
 
+val doorbell_failures : doorbell_point list -> string list
+(** The doorbell gates, one message per failed condition (empty: all
+    pass). At the sweep's top offered load the adaptive doorbell must
+    stay below 0.05 hypercalls/packet and at or below interrupt mode's
+    cycles/packet; at load 0 its whole-run cycles must not exceed
+    interrupt mode's. A sweep without both modes at load 0 and at its
+    top load fails. *)
+
 (** Multi-queue / sharded-simulation bench (docs/MULTIQUEUE.md): leg A
     sweeps the queue count with sequential execution and reports
     simulated transmit throughput (near-linear scaling expected — the
@@ -184,6 +192,17 @@ val multiqueue :
   ?clock:(unit -> float) ->
   unit ->
   mq_report
+
+val mq_speedup_min_cpus : int
+(** 4: host CPUs below which the wall-clock speedup gate is skipped. *)
+
+val multiqueue_failures : host_cpus:int -> mq_report -> string list
+(** The multiqueue gates, one message per failed condition: the merged
+    ledger is identical for every shard count, the single-queue
+    aggregate equals a plain world, 8 queues reach >= 6.0x the 1-queue
+    simulated throughput (a report without both points fails), and —
+    only when [host_cpus >= mq_speedup_min_cpus] — 4 shards run >= 3.0x
+    faster than 1. *)
 
 (** Ablations (DESIGN.md §5). *)
 
@@ -287,3 +306,11 @@ val fleet :
     identical soak on a fresh world and must reproduce the digest bit
     for bit). Raises [Invalid_argument] when [domains] exceeds the
     256-slot registry cap. The report is the first run's. *)
+
+val fleet_failures :
+  ?min_domains:int -> ?min_frames:int -> fleet_report -> string list
+(** The fleet gates, one message per failed condition: churn happened,
+    availability >= 0.99, frames conserved, nothing staged after
+    shutdown, no dangling doorbell page, and every run reproduced the
+    digest. [min_domains] and [min_frames] (default 0) are run-size
+    floors, set by the caller that chose the size. *)

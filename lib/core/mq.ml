@@ -37,7 +37,7 @@ let create ?(nics = 1) ?(tuning = Config.default_tuning) cfg =
     Array.init queues (fun q ->
         World.create ~nics ~guests:1 ~shard:q ~tuning:ctx_tuning cfg)
   in
-  { cfg; tuning; queues; rss = Rss.of_seed tuning.Config.rss_seed; ctxs }
+  { cfg; tuning; queues; rss = Rss.of_seed Rss.default_seed; ctxs }
 
 let config t = t.cfg
 let queues t = t.queues

@@ -237,6 +237,16 @@ let stlb_partition_base shard =
   Layout.stlb_base
   + (shard mod stlb_partitions) * (Layout.stlb_entries * Layout.stlb_entry_bytes)
 
+(* Persistently map every packet buffer of the pool (struct, linear area,
+   fragment frame) into the hypervisor instance: at boot, and again after
+   a recovery flushed the window. Pins are never charged to a guest's
+   map-window quota ({!Td_svm.Runtime.persistent_map}). *)
+let pin_pool rt pool =
+  Skb_pool.iter pool (fun skb ->
+      ignore (Td_svm.Runtime.persistent_map rt skb.Skb.addr);
+      ignore (Td_svm.Runtime.persistent_map rt (Skb.head skb));
+      ignore (Td_svm.Runtime.persistent_map rt (Skb_pool.frag_buffer pool skb)))
+
 let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
     ?(costs = Sys_costs.default) ?spill_everything ?rewrite_style
     ?cache_probes ?(map_pairs = true) ?(shard = 0)
@@ -324,7 +334,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
         let mac = host_mac i in
         let dev =
           Td_nic.E1000_dev.create ~dma:dom0_space ~mac
-            ~queues:tuning.Config.queues ~rss_seed:tuning.Config.rss_seed ~fault
+            ~queues:tuning.Config.queues ~fault
             ~tx_frame:(Td_nic.Wire.sink wire) ()
         in
         let mmio = Td_nic.E1000_dev.mmio_vaddr i in
@@ -419,14 +429,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
           Skb_pool.create km dom0_space ~entries:pool_entries
             ~buf_size:Skb.default_buf_bytes
         in
-        (* packet buffers (struct, linear area, fragment frame) are
-           persistently mapped into the hypervisor *)
-        Skb_pool.iter pool (fun skb ->
-            ignore (Td_svm.Runtime.persistent_map hyp_rt skb.Skb.addr);
-            ignore (Td_svm.Runtime.persistent_map hyp_rt (Skb.head skb));
-            ignore
-              (Td_svm.Runtime.persistent_map hyp_rt
-                 (Skb_pool.frag_buffer pool skb)));
+        pin_pool hyp_rt pool;
         let ctx =
           {
             Support.hyp = h;
@@ -531,11 +534,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
       vswitch = Bridge.create ();
       demux_skb = None;
       gmac_index = Hashtbl.create 8;
-      interp =
-        (let i = Interp.create ~fault cpu registry natives in
-         Interp.set_compile_threshold i tuning.Config.compile_threshold;
-         Interp.set_superblock_cap i tuning.Config.superblock_cap;
-         i);
+      interp = Interp.create ~fault cpu registry natives;
       timers = Timer_wheel.create ();
       sched =
         (let sc = Scheduler.create () in
@@ -722,13 +721,7 @@ let recover w ~nic ~reason =
           | None -> ());
           (* 4. re-pin the packet-buffer pool into the hypervisor *)
           (match (w.svm_hyp, w.skb_pool) with
-          | Some rt, Some pool ->
-              Skb_pool.iter pool (fun skb ->
-                  ignore (Td_svm.Runtime.persistent_map rt skb.Skb.addr);
-                  ignore (Td_svm.Runtime.persistent_map rt (Skb.head skb));
-                  ignore
-                    (Td_svm.Runtime.persistent_map rt
-                       (Skb_pool.frag_buffer pool skb)))
+          | Some rt, Some pool -> pin_pool rt pool
           | _ -> ());
           (* 5. per NIC: device reset, driver re-init, shadow restore *)
           Array.iter

@@ -32,11 +32,3 @@ val generation : t -> int
 
 val find : t -> int -> Td_misa.Program.t option
 (** Program containing the given code address (binary search). *)
-
-val resolve : t -> int -> Td_misa.Program.t * int
-(** [(program, index)] for a code address. Raises [Not_found]. *)
-
-val resolve_linear : t -> int -> Td_misa.Program.t * int
-(** Like {!resolve} but via a linear scan of the registered programs —
-    the pre-block-engine fetch path, kept as the measured baseline for
-    the [interp] benchmark. Raises [Not_found]. *)

@@ -16,7 +16,10 @@ type dispatch = Block | Per_step | Compiled
 let bc_size = 512
 
 let default_compile_threshold = 8
-let default_superblock_cap = 64
+
+(* most instructions traced into one superblock, stitched continuation
+   blocks included *)
+let superblock_cap = 64
 
 type t = {
   state : State.t;
@@ -38,7 +41,6 @@ type t = {
   cc_hot : int array; (* min_int = known uncompilable *)
   cc_blk : Superblock.t option array;
   mutable compile_threshold : int;
-  mutable superblock_cap : int;
   mutable compiled_blocks : int;
   mutable compiled_hits : int;
   mutable compiled_bailouts : int;
@@ -65,7 +67,6 @@ let create ?hook ?(fault = Td_fault.Engine.create ()) state registry natives =
     cc_hot = Array.make bc_size 0;
     cc_blk = Array.make bc_size None;
     compile_threshold = default_compile_threshold;
-    superblock_cap = default_superblock_cap;
     compiled_blocks = 0;
     compiled_hits = 0;
     compiled_bailouts = 0;
@@ -75,7 +76,6 @@ let create ?hook ?(fault = Td_fault.Engine.create ()) state registry natives =
 
 let set_dispatch t d = t.dispatch <- d
 let set_compile_threshold t n = t.compile_threshold <- max 1 n
-let set_superblock_cap t n = t.superblock_cap <- max 1 n
 
 let ret_sentinel = Semantics.ret_sentinel
 
@@ -115,15 +115,6 @@ let resolve_uncached t pc =
           (Fault
              (Printf.sprintf "execution at misaligned code address 0x%x" pc));
       (p, off lsr 2)
-
-(* the pre-block-engine fetch path, selectable as the [Per_step]
-   dispatch mode so the interp benchmark can measure the old cost with
-   the same harness *)
-let resolve_legacy t pc =
-  match Code_registry.resolve_linear t.registry pc with
-  | res -> res
-  | exception Not_found -> unmapped pc
-  | exception Invalid_argument msg -> raise (Fault msg)
 
 let flush t =
   Array.fill t.bc_addr 0 bc_size (-1);
@@ -194,11 +185,7 @@ let resolve_cached t pc =
 
 let step t =
   let st = t.state in
-  let prog, idx =
-    match t.dispatch with
-    | Block | Compiled -> resolve_cached t st.State.pc
-    | Per_step -> resolve_legacy t st.State.pc
-  in
+  let prog, idx = resolve_cached t st.State.pc in
   let insn = prog.Program.code.(idx) in
   credit_hit t st insn;
   (match t.hook with Some h -> h st insn | None -> ());
@@ -253,7 +240,7 @@ let compile_at t pc =
   match resolve_uncached t pc with
   | prog, idx ->
       Superblock.compile ~natives:t.natives ~costs:t.state.State.costs
-        ~elided:t.stlb_elided ~hit_site:(hit_site t) ~cap:t.superblock_cap
+        ~elided:t.stlb_elided ~hit_site:(hit_site t) ~cap:superblock_cap
         prog idx
   | exception Fault _ -> None
 

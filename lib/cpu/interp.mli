@@ -23,9 +23,9 @@ type dispatch =
           generation-stamped block cache, then execute straight-line by
           array index *)
   | Per_step
-      (** resolve every instruction through a linear registry scan — the
-          pre-block-engine fetch path, kept as the measured baseline for
-          the [interp] benchmark *)
+      (** execute one instruction at a time, fetching each through the
+          block cache exactly like a hooked [step] — the per-instruction
+          reference mode the other engines are checked against *)
   | Compiled
       (** the default: like [Block], but a hotness counter per block
           entry promotes hot blocks to compiled {!Superblock}s — fused
@@ -51,7 +51,6 @@ type t = {
   cc_hot : int array;
   cc_blk : Superblock.t option array;
   mutable compile_threshold : int;
-  mutable superblock_cap : int;
   mutable compiled_blocks : int;
   mutable compiled_hits : int;
   mutable compiled_bailouts : int;
@@ -73,11 +72,9 @@ val set_dispatch : t -> dispatch -> unit
 val set_compile_threshold : t -> int -> unit
 (** Dispatches of a block entry before it is promoted to compiled form
     (default 8; clamped to at least 1). Only meaningful in [Compiled]
-    dispatch. *)
-
-val set_superblock_cap : t -> int -> unit
-(** Maximum instructions traced into one superblock, including stitched
-    continuation blocks (default 64; clamped to at least 1). *)
+    dispatch; tests lower it to 1 to compile on first entry. A
+    superblock traces at most 64 instructions, stitched continuation
+    blocks included. *)
 
 val add_hook : t -> (State.t -> Td_misa.Insn.t -> unit) -> unit
 (** Compose a per-instruction hook with any already installed (existing

@@ -51,7 +51,7 @@ let set t off v = t.regs.(word t off) <- v land 0xFFFFFFFF
 let max_desc_len = 16384
 
 let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?(queues = 1)
-    ?(rss_seed = 0x2A8F) ?(fault = Td_fault.Engine.create ()) ~dma ~mac
+    ?(fault = Td_fault.Engine.create ()) ~dma ~mac
     ~tx_frame () =
   if String.length mac <> 6 then invalid_arg "E1000_dev.create: mac must be 6 bytes";
   if queues < 1 || queues > Regs.max_queues then
@@ -64,7 +64,7 @@ let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?(queues = 1)
       fault_domain;
       ring_entries;
       queues;
-      rss = (if queues > 1 then Some (Rss.of_seed rss_seed) else None);
+      rss = (if queues > 1 then Some (Rss.of_seed Rss.default_seed) else None);
       regs = Array.make 1024 0;
       irq_handler = None;
       msix = Array.make Regs.max_queues None;

@@ -31,7 +31,6 @@ val create :
   ?ring_entries:int ->
   ?fault_domain:(unit -> string option) ->
   ?queues:int ->
-  ?rss_seed:int ->
   ?fault:Td_fault.Engine.t ->
   dma:Td_mem.Addr_space.t ->
   mac:string ->
@@ -52,7 +51,7 @@ val create :
     (queue 0 on the legacy registers, the rest at
     {!Regs.txq_base}/{!Regs.rxq_base}), its own interrupt cause bits
     and, once registered via {!set_msix_handler}, its own vector. With
-    [queues > 1] the RSS demux — a Toeplitz hash keyed from [rss_seed]
+    [queues > 1] the RSS demux — a Toeplitz hash keyed from {!Rss.default_seed}
     (see {!Rss}) — steers arriving frames onto rx queues. A one-queue
     device is bit-identical to the pre-multi-queue model. *)
 

@@ -18,6 +18,8 @@ type t = { key : Bytes.t }
 
 (* xorshift64 expansion (same generator family as Td_fault/Td_adv: no
    Random, replayable from the seed alone) *)
+let default_seed = 0x2A8F
+
 let of_seed seed =
   let state = ref ((if seed = 0 then 0x2545F491 else seed) land max_int) in
   let next () =

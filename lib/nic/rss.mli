@@ -19,6 +19,10 @@ type t
 val key_bytes : int
 (** 40, the classic Toeplitz key length. *)
 
+val default_seed : int
+(** 0x2A8F: the NIC model's demux and the {!Mq} front are both keyed
+    from it, so they steer a flow onto the same queue. *)
+
 val of_seed : int -> t
 (** Expand a small seed into the 40-byte hash key (xorshift stream;
     seed 0 is remapped to a fixed non-zero constant). *)

@@ -301,7 +301,15 @@ let translate t addr =
   | None -> miss t addr
 
 let persistent_map t addr =
-  let mapped = translate t addr in
+  (* pins back dom0's own buffers, not the current domain's traffic, so
+     they are taken outside the window guard *)
+  let guard = t.window_guard in
+  t.window_guard <- None;
+  let mapped =
+    Fun.protect
+      ~finally:(fun () -> t.window_guard <- guard)
+      (fun () -> translate t addr)
+  in
   (match Hashtbl.find_opt t.slot_of_page (Td_mem.Layout.page_base addr) with
   | Some i -> (
       match t.slots.(i) with Some s -> s.pinned <- true | None -> ())

@@ -77,7 +77,8 @@ val persistent_map : t -> int -> int
 (** Pre-install a translation for a dom0 address and return the mapped
     address; used for packet buffers that are "persistently mapped into
     hypervisor address space" (§5.3). The window pair is pinned: the
-    reclaim clock skips it. *)
+    reclaim clock skips it. A pair the pin maps is not charged to the
+    window guard, whichever domain is current: the buffers are dom0's. *)
 
 val invalidate_page : t -> int -> unit
 (** Drop the translation for the page containing the given dom0 address

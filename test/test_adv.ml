@@ -7,6 +7,7 @@ open Td_xen
 let check = Alcotest.check
 let int_c = Alcotest.int
 let bool_c = Alcotest.bool
+let strings = Alcotest.list Alcotest.string
 
 let test_replay_bit_identical () =
   let quota =
@@ -14,10 +15,8 @@ let test_replay_bit_identical () =
   in
   let r1 = Td_adv.Fuzz.run ~seed:7 ~quota ~ops:4096 () in
   let r2 = Td_adv.Fuzz.run ~seed:7 ~quota ~ops:4096 () in
-  check bool_c "no violations" true (r1.Td_adv.Fuzz.violations = []);
-  check int_c "checksum replays" r1.Td_adv.Fuzz.checksum
-    r2.Td_adv.Fuzz.checksum;
-  check int_c "ok replays" r1.Td_adv.Fuzz.ok r2.Td_adv.Fuzz.ok;
+  (* no violations, checksum and ok count replay: the bench's gates *)
+  check strings "fuzz gates pass" [] (Td_adv.Fuzz.failures r1 ~replay:r2);
   check int_c "guest faults replay" r1.Td_adv.Fuzz.guest_faults
     r2.Td_adv.Fuzz.guest_faults;
   check int_c "svm faults replay" r1.Td_adv.Fuzz.svm_faults
@@ -118,29 +117,54 @@ let test_concurrency_caps () =
   check bool_c "cleared engine admits all" true
     (Quota.try_take None ~domain:"g" Quota.Notifications)
 
+let neighbour = lazy (Td_adv.Harness.neighbour ())
+
 let test_neighbour_protection () =
-  let tight =
-    { Quota.unlimited with Quota.notifications_per_s = 25_000.; burst = 16. }
-  in
-  let solo = Td_adv.Harness.contend ~attack_per_frame:0 () in
-  let on = Td_adv.Harness.contend ~quota:tight () in
-  let off = Td_adv.Harness.contend () in
-  let mbps (c : Td_adv.Harness.contention) =
-    float_of_int c.Td_adv.Harness.victim_wire
-    /. float_of_int c.Td_adv.Harness.grand_cycles
-  in
-  check int_c "victim never throttled" 0 on.Td_adv.Harness.victim_throttled;
+  let n = Lazy.force neighbour in
+  let on = n.Td_adv.Harness.quota_on in
+  (* victim never throttled, within 10% of solo with the quota and
+     degraded below 80% without: the bench's gates *)
+  check strings "neighbour gates pass" []
+    (Td_adv.Harness.neighbour_failures n);
   check int_c "victim delivered everything" on.Td_adv.Harness.victim_sent
     on.Td_adv.Harness.victim_wire;
   check bool_c "attacker heavily throttled" true
     (on.Td_adv.Harness.attacker_throttled
     > on.Td_adv.Harness.attacker_attempts / 2);
-  check bool_c "protected within 10% of solo" true
-    (mbps on /. mbps solo >= 0.9);
-  check bool_c "unprotected degraded" true (mbps off /. mbps solo < 0.8);
   (* the attacker pays for its own denials, not the victim *)
   check bool_c "denials billed to the attacker" true
     (on.Td_adv.Harness.attacker_row > 0)
+
+let test_adversary_gates () =
+  let open Td_adv in
+  let quota =
+    { Quota.default_limits with Quota.notifications_per_s = 5_000. }
+  in
+  let r = Fuzz.run ~seed:7 ~quota ~ops:512 () in
+  let replay = Fuzz.run ~seed:7 ~quota ~ops:512 () in
+  let rejected name failures = check int_c name 1 (List.length failures) in
+  check strings "floor at the run's own size passes" []
+    (Fuzz.failures ~min_ops:512 r ~replay);
+  rejected "fewer ops than the floor" (Fuzz.failures ~min_ops:513 r ~replay);
+  rejected "a violation"
+    (Fuzz.failures { r with Fuzz.violations = [ "doctored" ] } ~replay);
+  rejected "replay checksum differs"
+    (Fuzz.failures r ~replay:{ replay with Fuzz.checksum = r.Fuzz.checksum + 1 });
+  rejected "replay ok count differs"
+    (Fuzz.failures r ~replay:{ replay with Fuzz.ok = r.Fuzz.ok + 1 });
+  let n = Lazy.force neighbour in
+  let gates = Harness.neighbour_failures in
+  rejected "quota-on ratio below 0.9"
+    (gates { n with Harness.ratio_on = 0.899 });
+  check strings "quota-on ratio of 0.9 passes" []
+    (gates { n with Harness.ratio_on = 0.9 });
+  rejected "quota-off ratio of 0.8" (gates { n with Harness.ratio_off = 0.8 });
+  rejected "victim throttled"
+    (gates
+       {
+         n with
+         Harness.quota_on = { n.Harness.quota_on with victim_throttled = 1 };
+       })
 
 let test_isolation_sweep () =
   let env = Td_adv.Harness.make () in
@@ -159,6 +183,8 @@ let suite =
     Alcotest.test_case "concurrency caps" `Quick test_concurrency_caps;
     Alcotest.test_case "hostile neighbour protection" `Quick
       test_neighbour_protection;
+    Alcotest.test_case "bench gates reject each failed condition" `Quick
+      test_adversary_gates;
     Alcotest.test_case "isolation sweep on fresh rig" `Quick
       test_isolation_sweep;
   ]

@@ -313,6 +313,45 @@ let test_config_error_without_nics () =
             with _ -> false)
     | _ -> false)
 
+(* --- the doorbell bench's gates --- *)
+
+let test_doorbell_gates () =
+  let open Twindrivers.Experiments in
+  let points =
+    Td_obs.Control.with_enabled (fun () ->
+        doorbell ~windows:8 ~warmup_windows:2 ~loads:[ 0; 64 ] ())
+  in
+  check (Alcotest.list Alcotest.string) "small sweep passes" []
+    (doorbell_failures points);
+  let point mode load =
+    List.find (fun p -> p.db_mode = mode && p.offered_per_window = load) points
+  in
+  let i_idle = point "interrupt" 0 and i_top = point "interrupt" 64 in
+  let doctored mode load f =
+    doorbell_failures
+      (List.map
+         (fun p ->
+           if p.db_mode = mode && p.offered_per_window = load then f p else p)
+         points)
+  in
+  let rejected name failures = check int_c name 1 (List.length failures) in
+  let passes name failures =
+    check (Alcotest.list Alcotest.string) name [] failures
+  in
+  rejected "0.05 hypercalls/pkt at top load"
+    (doctored "adaptive" 64 (fun p -> { p with hypercalls_per_packet = 0.05 }));
+  rejected "idle cost above interrupt mode"
+    (doctored "adaptive" 0 (fun p ->
+         { p with db_cycles_total = i_idle.db_cycles_total + 1 }));
+  passes "idle cost equal to interrupt mode"
+    (doctored "adaptive" 0 (fun p ->
+         { p with db_cycles_total = i_idle.db_cycles_total }));
+  rejected "cycles/pkt above interrupt mode at top load"
+    (doctored "adaptive" 64 (fun p ->
+         { p with db_cycles_per_packet = i_top.db_cycles_per_packet +. 1. }));
+  rejected "no idle point"
+    (doorbell_failures (List.filter (fun p -> p.offered_per_window <> 0) points))
+
 let suite =
   [
     Alcotest.test_case "tx mode transitions idle->poll->idle" `Quick
@@ -326,6 +365,7 @@ let suite =
       test_teardown_flushes_partial_batches;
     Alcotest.test_case "world adaptive + shutdown conservation" `Quick
       test_world_adaptive_and_shutdown;
+    Alcotest.test_case "bench gates" `Quick test_doorbell_gates;
     Alcotest.test_case "config error without nics" `Quick
       test_config_error_without_nics;
   ]

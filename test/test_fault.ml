@@ -322,14 +322,11 @@ let world_a () =
       {
         Config.default_tuning with
         Config.recovery = Config.Restart_replay;
-        (* no map-window cap: a recovery re-pins the sk_buff pool, and
-           that is charged to the guest *)
         quota =
           Some
             {
               Td_xen.Quota.default_limits with
               Td_xen.Quota.upcalls_per_s = 50_000.;
-              map_window_pages = 0;
             };
         fault_plan = Some every_site_plan;
       }
@@ -387,6 +384,37 @@ let test_two_worlds_isolated () =
     (a_counters () = before);
   World.reset_measurement a;
   check int_c "A's own reset clears its injections" 0 (World.fault_injected a)
+
+(* --- a world with a map-window quota recovers from an abort --- *)
+
+(* Recovery re-pins the sk_buff pool into the fresh hypervisor instance.
+   The pool is dom0's, so the pins must not be charged to the guest whose
+   transmit aborted: guest0's 64-page map-window cap would otherwise turn
+   the first recovery into a [Quota_exceeded]. *)
+let test_quota_world_recovers () =
+  let run quota =
+    let w =
+      World.create ~nics:1 ~upcall_set:[ "spin_trylock" ]
+        ~tuning:
+          {
+            Config.default_tuning with
+            Config.recovery = Config.Restart;
+            quota;
+            fault_plan =
+              Some { Td_fault.zero_plan with seed = 3; upcall_fail = 0.05 };
+          }
+        Config.Xen_twin
+    in
+    let big = String.make 1500 'q' in
+    for i = 1 to 200 do
+      ignore (World.transmit w ~nic:0 ~payload:big);
+      if i mod 8 = 0 then World.pump w
+    done;
+    World.recoveries w
+  in
+  let with_quota = run (Some Td_xen.Quota.default_limits) in
+  check bool_c "recovered under the quota" true (with_quota > 0);
+  check int_c "recoveries as without the quota" (run None) with_quota
 
 (* --- typed guest faults --- *)
 
@@ -450,6 +478,8 @@ let suite =
       test_bitflip_plan_unchanged;
     Alcotest.test_case "two worlds keep their engines apart" `Quick
       test_two_worlds_isolated;
+    Alcotest.test_case "quota world recovers from an abort" `Quick
+      test_quota_world_recovers;
     Alcotest.test_case "guest fault: bad grant ref" `Quick
       test_guest_fault_bad_grant;
     Alcotest.test_case "no-domains error names op" `Quick

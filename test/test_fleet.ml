@@ -131,22 +131,43 @@ let test_percentile_correctness () =
 
 (* --- a small fleet soak: deterministic, conserved, available --- *)
 
+let smoke =
+  lazy
+    (Experiments.fleet ~domains:24 ~frames:6000 ~nics:2 ~seed:5 ~churn:6
+       ~quota:true ~fault_rate:0. ~runs:2 ())
+
+let strings = Alcotest.list Alcotest.string
+
 let test_fleet_smoke () =
-  let r =
-    Experiments.fleet ~domains:24 ~frames:6000 ~nics:2 ~seed:5 ~churn:6
-      ~quota:true ~fault_rate:0. ~runs:2 ()
-  in
+  let r = Lazy.force smoke in
   check int_c "fleet size" 24 r.Experiments.fl_domains;
   check bool_c "frames offered" true (r.Experiments.fl_offered_tx > 0);
   check bool_c "rx injected" true (r.Experiments.fl_rx_injected > 0);
-  check bool_c "some churn happened" true (r.Experiments.fl_churned > 0);
-  check bool_c "availability >= 0.99" true (r.Experiments.fl_availability >= 0.99);
-  check bool_c "conserved" true r.Experiments.fl_conserved;
-  check int_c "nothing staged after shutdown" 0
-    r.Experiments.fl_staged_after_shutdown;
-  check int_c "no dangling doorbells" 0 r.Experiments.fl_dangling_doorbells;
-  check bool_c "two runs bit-identical" true r.Experiments.fl_deterministic;
+  (* churn, availability, conservation, nothing staged or dangling,
+     determinism: the bench's own gates *)
+  check strings "fleet gates pass" [] (Experiments.fleet_failures r);
   check bool_c "percentiles populated" true (r.Experiments.fl_tx_p50 > 0.)
+
+let test_fleet_gates () =
+  let open Experiments in
+  let r = Lazy.force smoke in
+  let rejected name r' =
+    check int_c name 1
+      (List.length (fleet_failures ~min_domains:24 ~min_frames:6000 r'))
+  in
+  check strings "floors at the run's own size pass" []
+    (fleet_failures ~min_domains:24 ~min_frames:6000 r);
+  rejected "fewer frames than the floor" { r with fl_frames = 5999 };
+  rejected "fewer domains than the floor" { r with fl_domains = 23 };
+  rejected "no churn" { r with fl_churned = 0 };
+  rejected "availability 0.98" { r with fl_availability = 0.98 };
+  check strings "availability 0.99 passes" []
+    (fleet_failures { r with fl_availability = 0.99 });
+  rejected "not conserved" { r with fl_conserved = false };
+  rejected "a frame staged after shutdown"
+    { r with fl_staged_after_shutdown = 1 };
+  rejected "a dangling doorbell" { r with fl_dangling_doorbells = 1 };
+  rejected "runs disagree" { r with fl_deterministic = false }
 
 let test_fleet_faulty_smoke () =
   (* with the fault plan armed the soak still conserves, recovers and
@@ -174,6 +195,8 @@ let suite =
       test_percentile_correctness;
     Alcotest.test_case "fleet smoke: deterministic and conserved" `Quick
       test_fleet_smoke;
+    Alcotest.test_case "fleet gates reject each failed condition" `Quick
+      test_fleet_gates;
     Alcotest.test_case "fleet smoke under faults" `Quick
       test_fleet_faulty_smoke;
     Alcotest.test_case "fleet rejects > 256 domains" `Quick

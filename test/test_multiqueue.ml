@@ -82,7 +82,7 @@ let make_mq_rig ~queues () =
     ~limit:Td_mem.Layout.dom0_heap_limit;
   let sent = ref [] and irqs = ref 0 in
   let dev =
-    E1000_dev.create ~ring_entries:entries ~queues ~rss_seed:0x2A8F ~dma:space
+    E1000_dev.create ~ring_entries:entries ~queues ~dma:space
       ~mac:"\x02\x00\x00\x00\x00\x07"
       ~tx_frame:(fun f -> sent := f :: !sent)
       ()
@@ -512,6 +512,54 @@ let test_mq_shards_with_quota_and_faults () =
   check int_c "same wire frames" seq_frames par_frames;
   check string_c "bit-identical merged ledgers" seq_digest par_digest
 
+(* --- the multiqueue bench's gates --- *)
+
+let test_multiqueue_gates () =
+  let open Twindrivers.Experiments in
+  let r =
+    multiqueue ~frames:256 ~queue_counts:[ 1; 8 ] ~shard_counts:[ 1; 2 ] ()
+  in
+  let strings = Alcotest.list Alcotest.string in
+  (* the small run has no 4-shard point; the speedup gate waits for a
+     host with the cores *)
+  check strings "small run passes" [] (multiqueue_failures ~host_cpus:2 r);
+  let rejected name ?(host_cpus = 2) r' =
+    check int_c name 1 (List.length (multiqueue_failures ~host_cpus r'))
+  in
+  rejected "ledger differs across shard counts"
+    { r with mq_ledger_bit_identical = false };
+  rejected "single queue differs from a plain world"
+    { r with mq_single_queue_identical = false };
+  let scale_8 f =
+    {
+      r with
+      mq_points_queues =
+        List.map
+          (fun p ->
+            if p.mq_queues = 8 then { p with mq_sim_mbps = f p.mq_sim_mbps }
+            else p)
+          r.mq_points_queues;
+    }
+  in
+  let one =
+    (List.find (fun p -> p.mq_queues = 1) r.mq_points_queues).mq_sim_mbps
+  in
+  rejected "8 queues below 6.0x" (scale_8 (fun _ -> 5.99 *. one));
+  check strings "8 queues at 6.0x" []
+    (multiqueue_failures ~host_cpus:2 (scale_8 (fun _ -> 6.0 *. one)));
+  rejected "no 8-queue point"
+    {
+      r with
+      mq_points_queues =
+        List.filter (fun p -> p.mq_queues <> 8) r.mq_points_queues;
+    };
+  let slow = { r with mq_speedup_at_4 = 2.9 } in
+  rejected "4-shard speedup below 3.0x on 4 cpus" ~host_cpus:4 slow;
+  check strings "speedup not gated below 4 cpus" []
+    (multiqueue_failures ~host_cpus:3 slow);
+  check strings "4-shard speedup of 3.0x on 4 cpus" []
+    (multiqueue_failures ~host_cpus:4 { r with mq_speedup_at_4 = 3.0 })
+
 let suite =
   [
     Alcotest.test_case "rss: determinism" `Quick test_rss_determinism;
@@ -534,6 +582,7 @@ let suite =
     Alcotest.test_case "registry: reload isolated across shards" `Quick
       test_reload_isolated_across_shards;
     QCheck_alcotest.to_alcotest mq_seq_vs_sharded_prop;
+    Alcotest.test_case "bench gates" `Quick test_multiqueue_gates;
     Alcotest.test_case "mq: 4 shards with quotas + fault plan" `Quick
       test_mq_shards_with_quota_and_faults;
   ]
