@@ -195,10 +195,10 @@ let suite =
       test_percentile_correctness;
     Alcotest.test_case "fleet smoke: deterministic and conserved" `Quick
       test_fleet_smoke;
-    Alcotest.test_case "fleet gates reject each failed condition" `Quick
-      test_fleet_gates;
     Alcotest.test_case "fleet smoke under faults" `Quick
       test_fleet_faulty_smoke;
     Alcotest.test_case "fleet rejects > 256 domains" `Quick
       test_fleet_rejects_oversize;
+    Alcotest.test_case "fleet gates reject each failed condition" `Quick
+      test_fleet_gates;
   ]

@@ -582,7 +582,7 @@ let suite =
     Alcotest.test_case "registry: reload isolated across shards" `Quick
       test_reload_isolated_across_shards;
     QCheck_alcotest.to_alcotest mq_seq_vs_sharded_prop;
-    Alcotest.test_case "bench gates" `Quick test_multiqueue_gates;
     Alcotest.test_case "mq: 4 shards with quotas + fault plan" `Quick
       test_mq_shards_with_quota_and_faults;
+    Alcotest.test_case "bench gates" `Quick test_multiqueue_gates;
   ]
