@@ -36,12 +36,18 @@ type tuning = {
   recovery : recovery;
   doorbell : bool;
   poll_entry_kicks : int;
-  idle_hysteresis : int;
-  poll_budget : int;
   quota : Td_xen.Quota.limits option;
   fault_plan : Td_fault.plan option;
   queues : int;
   shards : int;
+  shard : int;
+  upcall_set : string list;
+  pool_entries : int;
+  costs : Td_xen.Sys_costs.t;
+  spill_everything : bool;
+  rewrite_style : Td_rewriter.Rewrite.style;
+  cache_probes : bool;
+  map_pairs : bool;
 }
 
 let default_tuning =
@@ -51,10 +57,16 @@ let default_tuning =
     recovery = Fail_stop;
     doorbell = false;
     poll_entry_kicks = 8;
-    idle_hysteresis = 3;
-    poll_budget = 16;
     quota = None;
     fault_plan = None;
     queues = 1;
     shards = 1;
+    shard = 0;
+    upcall_set = [];
+    pool_entries = 1024;
+    costs = Td_xen.Sys_costs.default;
+    spill_everything = false;
+    rewrite_style = Td_rewriter.Rewrite.Inline_fast_path;
+    cache_probes = false;
+    map_pairs = true;
   }

@@ -99,7 +99,11 @@ let demotion_order =
 let fig10_upcall_cost ?(packets = 400) () =
   List.init (List.length demotion_order + 1) (fun k ->
       let demoted = List.filteri (fun i _ -> i < k) demotion_order in
-      let w = World.create ~nics:5 ~upcall_set:demoted Config.Xen_twin in
+      let w =
+        World.create ~nics:5
+          ~tuning:{ Config.default_tuning with Config.upcall_set = demoted }
+          Config.Xen_twin
+      in
       let r = Measure.run_transmit ~packets w in
       let invocations = max 1 (World.wire_tx_frames w) in
       let upcalls = Td_kernel.Support.total_upcalls (World.support w) in
@@ -199,17 +203,21 @@ let sensitivity ?(packets = 300) () =
     (fun switch_scale ->
       List.map
         (fun kernel_scale ->
-          let costs =
-            scale_costs Td_xen.Sys_costs.default ~switch:switch_scale
-              ~kernel:kernel_scale
+          let tuning =
+            {
+              Config.default_tuning with
+              Config.costs =
+                scale_costs Td_xen.Sys_costs.default ~switch:switch_scale
+                  ~kernel:kernel_scale;
+            }
           in
           let twin =
             Measure.run_transmit ~packets
-              (World.create ~nics:5 ~costs Config.Xen_twin)
+              (World.create ~nics:5 ~tuning Config.Xen_twin)
           in
           let domu =
             Measure.run_transmit ~packets
-              (World.create ~nics:5 ~costs Config.Xen_domU)
+              (World.create ~nics:5 ~tuning Config.Xen_domU)
           in
           { switch_scale; kernel_scale; tx_speedup = Measure.speedup twin domu })
         [ 0.75; 1.0; 1.5 ])
@@ -243,6 +251,7 @@ let window_batch ?(packets = 250) ?(windows = [ 512; 1024; 4096 ])
               Config.default_tuning with
               Config.map_window_pages = window_pages;
               notify_batch = batch;
+              pool_entries = 96;
             }
           in
           (* small pool: its packet buffers are pinned in the window and
@@ -250,14 +259,10 @@ let window_batch ?(packets = 250) ?(windows = [ 512; 1024; 4096 ])
              still hold them all (96 entries pin ~430 pages) while keeping
              unpinned slots free to reclaim; fewer entries starve the
              receive ring *)
-          let wt =
-            World.create ~nics:1 ~pool_entries:96 ~tuning Config.Xen_twin
-          in
+          let wt = World.create ~nics:1 ~tuning Config.Xen_twin in
           let tx = Measure.run_transmit ~packets wt in
           let hypercalls = metric tx "xen.hypercall" in
-          let wr =
-            World.create ~nics:1 ~pool_entries:96 ~tuning Config.Xen_twin
-          in
+          let wr = World.create ~nics:1 ~tuning Config.Xen_twin in
           let rx = Measure.run_receive ~packets wr in
           let virqs = metric rx "xen.virq" in
           (* soak the map window: touch [window_pages] distinct dom0 pages
@@ -653,31 +658,42 @@ let multiqueue_failures ~host_cpus r =
 type ablation = { label : string; tx_cpu_scaled_mbps : float; note : string }
 
 let ablations ?(packets = 400) () =
-  let tx ?spill_everything ?rewrite_style ?cache_probes label note =
-    let w =
-      World.create ~nics:5 ?spill_everything ?rewrite_style ?cache_probes
-        Config.Xen_twin
-    in
+  let tx ?(tuning = Config.default_tuning) label note =
+    let w = World.create ~nics:5 ~tuning Config.Xen_twin in
     let r = Measure.run_transmit ~packets w in
     { label; tx_cpu_scaled_mbps = r.Measure.cpu_limited_mbps; note }
   in
   let baseline = tx "inline fast path (paper)" "liveness-allocated scratch" in
   let cached =
-    tx ~cache_probes:true "probe caching (extension)"
+    tx
+      ~tuning:{ Config.default_tuning with Config.cache_probes = true }
+      "probe caching (extension)"
       "reuses ~10% of probes but pinning the register costs spills: a wash \
        on this call-heavy driver"
   in
   let spill =
-    tx ~spill_everything:true "always-spill" "no liveness analysis (fn. 3)"
+    tx
+      ~tuning:{ Config.default_tuning with Config.spill_everything = true }
+      "always-spill" "no liveness analysis (fn. 3)"
   in
   let helper =
-    tx ~rewrite_style:Td_rewriter.Rewrite.Shared_helper "shared helper"
+    tx
+      ~tuning:
+        {
+          Config.default_tuning with
+          Config.rewrite_style = Td_rewriter.Rewrite.Shared_helper;
+        }
+      "shared helper"
       "call __svm_translate per access instead of inline probe"
   in
   let single_page =
     (* single-page mapping: survives only if no access straddles *)
     match
-      let w = World.create ~nics:5 ~map_pairs:false Config.Xen_twin in
+      let w =
+        World.create ~nics:5
+          ~tuning:{ Config.default_tuning with Config.map_pairs = false }
+          Config.Xen_twin
+      in
       Measure.run_transmit ~packets w
     with
     | r ->
@@ -742,14 +758,12 @@ let recovery_soak ?(frames = 2_000) ?(seed = 42) ~policy ~rate () =
       Config.default_tuning with
       Config.recovery = policy;
       fault_plan = (if rate > 0.0 then Some (soak_plan ~seed rate) else None);
+      (* a demoted fast-path routine keeps the upcall site hot on every
+         transmit; the world arms the plan only after boot *)
+      upcall_set = [ "spin_trylock" ];
     }
   in
-  (* a demoted fast-path routine keeps the upcall site hot on every
-     transmit; the world arms the plan only after boot *)
-  let w =
-    World.create ~nics:5 ~upcall_set:[ "spin_trylock" ] ~tuning
-      Config.Xen_twin
-  in
+  let w = World.create ~nics:5 ~tuning Config.Xen_twin in
   let payload = String.init 1500 (fun i -> Char.chr (i land 0xff)) in
   let nics = World.nic_count w in
   let guest_faults_before = Td_xen.Guest_fault.total () in

@@ -6,7 +6,7 @@
    cycle ledgers.
 
    Each context is a complete single-queue world pinned to its own
-   stlb partition (World ~shard) and its own doorbell word-pair
+   stlb partition (Config.tuning.shard) and its own doorbell word-pair
    (Xen_netio ~queue), so contexts share no simulated state at all.
    Quota and fault engines are built per world from the tuning, so
    quotas and fault plans compose with shards > 1; the one remaining
@@ -32,10 +32,11 @@ let create ?(nics = 1) ?(tuning = Config.default_tuning) cfg =
   (* Each context is a single-queue world: the multi-queue steering
      happens up here, one context per queue, exactly mirroring what the
      device-level RSS demux does across its rings. *)
-  let ctx_tuning = { tuning with Config.queues = 1 } in
   let ctxs =
     Array.init queues (fun q ->
-        World.create ~nics ~guests:1 ~shard:q ~tuning:ctx_tuning cfg)
+        World.create ~nics ~guests:1
+          ~tuning:{ tuning with Config.queues = 1; shard = q }
+          cfg)
   in
   { cfg; tuning; queues; rss = Rss.of_seed Rss.default_seed; ctxs }
 

@@ -18,7 +18,7 @@ type t
 val create : ?nics:int -> ?tuning:Config.tuning -> Config.t -> t
 (** One single-queue world per [tuning.queues] (validated against
     {!Td_nic.Regs.max_queues}), context [q] created with
-    [World.create ~shard:q]. Each context builds its own quota and
+    [tuning.shard = q]. Each context builds its own quota and
     fault engines from [tuning.quota] and [tuning.fault_plan], so both
     compose with any shard count and sequential and sharded runs are
     bit-identical. *)

@@ -65,9 +65,6 @@ type guest_slot = {
 type t = {
   cfg : Config.t;
   tuning : Config.tuning;
-  shard : int;
-      (** this world's shard index: selects its stlb partition and the
-          per-queue doorbell words of its I/O channels ({!Mq}) *)
   hyp_stlb_vaddr : int;  (** base of this shard's stlb partition *)
   phys : Phys_mem.t;
   dom0_space : Addr_space.t;
@@ -88,7 +85,6 @@ type t = {
           boot is never perturbed. The quota engine
           ({!Config.tuning.quota}) lives on [hyp]. *)
   dom0_stack_top : int;
-  costs : Sys_costs.t;
   nics : nic_port array;
   mutable dom0_driver : driver_image;
   mutable hyp_driver : driver_image option;
@@ -132,7 +128,8 @@ type t = {
 let rx_queue_capacity = 4096
 
 let config t = t.cfg
-let shard t = t.shard
+let shard t = t.tuning.Config.shard
+let costs t = t.tuning.Config.costs
 let nic_count t = Array.length t.nics
 let ledger t = t.led
 let support t = t.sup
@@ -247,16 +244,14 @@ let pin_pool rt pool =
       ignore (Td_svm.Runtime.persistent_map rt (Skb.head skb));
       ignore (Td_svm.Runtime.persistent_map rt (Skb_pool.frag_buffer pool skb)))
 
-let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
-    ?(costs = Sys_costs.default) ?spill_everything ?rewrite_style
-    ?cache_probes ?(map_pairs = true) ?(shard = 0)
-    ?(tuning = Config.default_tuning) cfg =
+let create ~nics ~guests ~tuning cfg =
   if guests < 1 then invalid_arg "World.create: guests must be >= 1";
   if guests > 256 then invalid_arg "World.create: at most 256 guests";
-  if shard < 0 then invalid_arg "World.create: shard must be >= 0";
   if tuning.Config.notify_batch < 1 then
     invalid_arg "World.create: notify_batch must be >= 1";
-  let hyp_stlb_vaddr = stlb_partition_base shard in
+  if tuning.Config.shard < 0 then
+    invalid_arg "World.create: shard must be >= 0";
+  let hyp_stlb_vaddr = stlb_partition_base tuning.Config.shard in
   let phys = Phys_mem.create ~frames:200_000 () in
   let dom0_space = Addr_space.create ~name:"dom0" phys in
   Addr_space.heap_init dom0_space ~base:Layout.dom0_heap_base
@@ -303,7 +298,10 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
   (* domains & hypervisor *)
   let hyp, dom0, guest_doms =
     if needs_xen cfg then begin
-      let h = Hypervisor.create ~costs ?quota ~ledger:led ~xen_space ~cpu () in
+      let h =
+        Hypervisor.create ~costs:tuning.Config.costs ?quota ~ledger:led
+          ~xen_space ~cpu ()
+      in
       let d0 =
         Domain.create ~id:0 ~name:"dom0" ~kind:Domain.Driver_domain
           ~space:dom0_space
@@ -386,8 +384,10 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
           None )
     | Config.Xen_twin ->
         let twin =
-          Td_rewriter.Twin.derive ?spill_everything ?style:rewrite_style
-            ?cache_probes
+          Td_rewriter.Twin.derive
+            ~spill_everything:tuning.Config.spill_everything
+            ~style:tuning.Config.rewrite_style
+            ~cache_probes:tuning.Config.cache_probes
             (Td_driver.E1000_driver.source ())
         in
         (* VM instance: identity stlb, dom0-resolved symbols *)
@@ -420,13 +420,13 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
         (* hypervisor instance *)
         let h = Option.get hyp and d0 = Option.get dom0 in
         let hyp_rt =
-          Td_svm.Runtime.create_hypervisor ~map_pairs
+          Td_svm.Runtime.create_hypervisor ~map_pairs:tuning.Config.map_pairs
             ~window_pages:tuning.Config.map_window_pages
             ~stlb_vaddr:hyp_stlb_vaddr ~fault ~dom0:dom0_space ~hyp:xen_space ()
         in
         Td_svm.Runtime.register_natives hyp_rt natives;
         let pool =
-          Skb_pool.create km dom0_space ~entries:pool_entries
+          Skb_pool.create km dom0_space ~entries:tuning.Config.pool_entries
             ~buf_size:Skb.default_buf_bytes
         in
         pin_pool hyp_rt pool;
@@ -441,7 +441,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
         in
         let native_set =
           List.filter
-            (fun n -> not (List.mem n upcall_set))
+            (fun n -> not (List.mem n tuning.Config.upcall_set))
             Support.fast_path_names
         in
         Support.register_hyp_natives ~fault sup natives ~ctx ~native_set;
@@ -492,7 +492,6 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
     {
       cfg;
       tuning;
-      shard;
       hyp_stlb_vaddr;
       phys;
       dom0_space;
@@ -518,7 +517,6 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
               });
       fault;
       dom0_stack_top;
-      costs;
       nics = ports;
       dom0_driver;
       hyp_driver;
@@ -842,13 +840,14 @@ let attach_channel w ~guest:g ~nic =
       Some
         {
           Xen_netio.poll_entry_kicks = w.tuning.Config.poll_entry_kicks;
-          idle_hysteresis = w.tuning.Config.idle_hysteresis;
-          poll_budget = w.tuning.Config.poll_budget;
+          idle_hysteresis = 3;
+          poll_budget = 16;
         }
     else None
   in
   let netio =
-    Xen_netio.create ~batch:w.tuning.Config.notify_batch ~queue:w.shard
+    Xen_netio.create ~batch:w.tuning.Config.notify_batch
+      ~queue:w.tuning.Config.shard
       ?doorbell ~hyp:h ~dom0:d0 ~guest:s.gs_dom ~kmem:w.km
       ~driver_tx:(fun skb ->
         (* netback's call into the driver: the sk_buff is kmem memory
@@ -865,7 +864,7 @@ let attach_channel w ~guest:g ~nic =
       ()
   in
   Xen_netio.set_guest_rx netio (fun frame ->
-      charge_domU_cat w w.costs.Sys_costs.kernel_rx_path;
+      charge_domU_cat w (costs w).Sys_costs.kernel_rx_path;
       let payload =
         String.sub frame eth_header_bytes
           (String.length frame - eth_header_bytes)
@@ -900,7 +899,7 @@ let init (w : t) =
   Option.iter
     (fun rt ->
       Td_svm.Runtime.set_reclaim_hook rt (fun () ->
-          charge_xen_cat w w.costs.Sys_costs.window_reclaim))
+          charge_xen_cat w (costs w).Sys_costs.window_reclaim))
     w.svm_hyp;
   (* with a quota engine, mapped-page window pairs are charged to the
      domain on whose behalf the hypervisor driver is running; the guard
@@ -963,13 +962,13 @@ let init (w : t) =
   (match w.cfg with
   | Config.Native_linux ->
       Support.set_netif_rx w.sup (fun skb ->
-          charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path;
+          charge_dom0_cat w (costs w).Sys_costs.kernel_rx_path;
           count_rx w (Bytes.to_string (Skb.contents skb));
           free_any_skb w skb)
   | Config.Xen_dom0 ->
       Support.set_netif_rx w.sup (fun skb ->
-          charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path;
-          charge_xen_cat w w.costs.Sys_costs.virt_overhead_rx;
+          charge_dom0_cat w (costs w).Sys_costs.kernel_rx_path;
+          charge_xen_cat w (costs w).Sys_costs.virt_overhead_rx;
           count_rx w (Bytes.to_string (Skb.contents skb));
           free_any_skb w skb)
   | Config.Xen_domU ->
@@ -1003,7 +1002,7 @@ let init (w : t) =
          behind the destination MAC; unknown MACs terminate in dom0's
          local stack (no flooding into guests) *)
       Support.set_netif_rx w.sup (fun skb ->
-          charge_dom0_cat w w.costs.Sys_costs.dom0_rx_kernel;
+          charge_dom0_cat w (costs w).Sys_costs.dom0_rx_kernel;
           let hdr =
             Addr_space.read_block w.dom0_space
               (Skb.data skb - eth_header_bytes)
@@ -1015,7 +1014,7 @@ let init (w : t) =
               w.demux_skb <- Some skb;
               Bridge.forward w.vswitch (Bytes.to_string hdr)
           | None ->
-              charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path;
+              charge_dom0_cat w (costs w).Sys_costs.kernel_rx_path;
               free_any_skb w skb);
       (* the workload runs in the guest *)
       Hypervisor.switch_to h g
@@ -1028,7 +1027,8 @@ let init (w : t) =
       | Some _ ->
           let ctx_rx skb =
             charge_xen_cat w
-              (w.costs.Sys_costs.twin_demux + w.costs.Sys_costs.twin_rx_queue);
+              ((costs w).Sys_costs.twin_demux
+              + (costs w).Sys_costs.twin_rx_queue);
             let hdr =
               Addr_space.read_block w.dom0_space
                 (Skb.data skb - eth_header_bytes)
@@ -1042,10 +1042,10 @@ let init (w : t) =
                     Queue.push (Bytes.to_string (Skb.contents skb)) s.gs_rx_pending
                 | None ->
                     (* destroyed since the MAC was learned: dom0-local *)
-                    charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path)
+                    charge_dom0_cat w (costs w).Sys_costs.kernel_rx_path)
             | None ->
                 (* not for a guest: hand to dom0 like a local packet *)
-                charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path);
+                charge_dom0_cat w (costs w).Sys_costs.kernel_rx_path);
             free_any_skb w skb
           in
           (* reach into the support registry's hypervisor context *)
@@ -1054,12 +1054,8 @@ let init (w : t) =
       Hypervisor.switch_to h g);
   w
 
-let create ?nics ?guests ?upcall_set ?pool_entries ?costs ?spill_everything
-    ?rewrite_style ?cache_probes ?map_pairs ?shard ?tuning cfg =
-  let w =
-    create ?nics ?guests ?upcall_set ?pool_entries ?costs ?spill_everything
-      ?rewrite_style ?cache_probes ?map_pairs ?shard ?tuning cfg
-  in
+let create ?(nics = 5) ?(guests = 1) ?(tuning = Config.default_tuning) cfg =
+  let w = create ~nics ~guests ~tuning cfg in
   (* boot is deterministic: the fault engine arms only after init (the
      quota engine, on the hypervisor, charges channel setup as usual) *)
   let w = init w in
@@ -1074,9 +1070,9 @@ let transmit w ~nic ~payload =
   let frame = build_frame ~dst:(client_mac nic) ~src:p.mac ~payload in
   match w.cfg with
   | Config.Native_linux | Config.Xen_dom0 ->
-      charge_dom0_cat w w.costs.Sys_costs.kernel_tx_path;
+      charge_dom0_cat w (costs w).Sys_costs.kernel_tx_path;
       if w.cfg = Config.Xen_dom0 then
-        charge_xen_cat w w.costs.Sys_costs.virt_overhead_tx;
+        charge_xen_cat w (costs w).Sys_costs.virt_overhead_tx;
       let attempt () =
         let skb =
           Skb.alloc w.km w.dom0_space ~size:(String.length frame + 64)
@@ -1091,8 +1087,8 @@ let transmit w ~nic ~payload =
       in
       run_tx w ~nic attempt
   | Config.Xen_domU -> (
-      charge_domU_cat w w.costs.Sys_costs.kernel_tx_path;
-      charge_dom0_cat w w.costs.Sys_costs.dom0_tx_kernel;
+      charge_domU_cat w (costs w).Sys_costs.kernel_tx_path;
+      charge_dom0_cat w (costs w).Sys_costs.dom0_tx_kernel;
       match netio_on w ~nic with
       | None ->
           let domain =
@@ -1121,7 +1117,7 @@ let transmit w ~nic ~payload =
                 Td_obs.Metrics.bump "world.tx_throttled";
               false))
   | Config.Xen_twin ->
-      charge_domU_cat w w.costs.Sys_costs.kernel_tx_path;
+      charge_domU_cat w (costs w).Sys_costs.kernel_tx_path;
       let h = Option.get w.hyp in
       (* doorbell suppression: with batching only every [notify_batch]th
          ring push traps into the hypervisor; the others just set the
@@ -1132,9 +1128,9 @@ let transmit w ~nic ~payload =
         w.tuning.Config.notify_batch <= 1
         || (w.twin_tx_pushes - 1) mod w.tuning.Config.notify_batch = 0
       then Hypervisor.hypercall h ()
-      else charge_xen_cat w w.costs.Sys_costs.notify_coalesce;
+      else charge_xen_cat w (costs w).Sys_costs.notify_coalesce;
       let attempt () =
-        charge_xen_cat w w.costs.Sys_costs.twin_skb_acquire;
+        charge_xen_cat w (costs w).Sys_costs.twin_skb_acquire;
         match Skb_pool.alloc (Option.get w.skb_pool) with
         | None ->
             w.tx_drops <- w.tx_drops + 1;
@@ -1147,10 +1143,10 @@ let transmit w ~nic ~payload =
             let hdr = min 96 (String.length frame) in
             charge_xen_cat w
               (int_of_float
-                 (float_of_int hdr *. w.costs.Sys_costs.copy_per_byte));
+                 (float_of_int hdr *. (costs w).Sys_costs.copy_per_byte));
             Skb.put skb (Bytes.of_string (String.sub frame 0 hdr));
             if String.length frame > hdr then begin
-              charge_xen_cat w w.costs.Sys_costs.twin_frag_chain;
+              charge_xen_cat w (costs w).Sys_costs.twin_frag_chain;
               let rest = String.length frame - hdr in
               let frag = Skb_pool.frag_buffer pool skb in
               (* chaining is a remap in the paper, not a copy: the bytes are
@@ -1189,22 +1185,23 @@ let service_interrupt w ~nic =
   else
     match w.cfg with
     | Config.Native_linux ->
-        charge_dom0_cat w w.costs.Sys_costs.interrupt_dispatch;
+        charge_dom0_cat w (costs w).Sys_costs.interrupt_dispatch;
         ignore
           (supervised w ~nic (fun () ->
                run_dom0_driver w ~entry:w.dom0_driver.e_intr
                  ~args:[ p.nd.Netdev.addr ]))
     | Config.Xen_dom0 | Config.Xen_domU ->
         charge_xen_cat w
-          (w.costs.Sys_costs.interrupt_dispatch + w.costs.Sys_costs.event_channel);
+          ((costs w).Sys_costs.interrupt_dispatch
+          + (costs w).Sys_costs.event_channel);
         ignore
           (supervised w ~nic (fun () ->
                run_dom0_driver w ~entry:w.dom0_driver.e_intr
                  ~args:[ p.nd.Netdev.addr ]))
     | Config.Xen_twin ->
         charge_xen_cat w
-          (w.costs.Sys_costs.interrupt_dispatch
-          + w.costs.Sys_costs.softirq_schedule);
+          ((costs w).Sys_costs.interrupt_dispatch
+          + (costs w).Sys_costs.softirq_schedule);
         let invoke () =
           (* refetch the image: a recovery may have reloaded it *)
           let img = Option.get w.hyp_driver in
@@ -1239,16 +1236,16 @@ let deliver_guest_queue w h dom gi (q : string Queue.t) =
       charge_xen_cat w
         (int_of_float
            (float_of_int (String.length payload)
-           *. w.costs.Sys_costs.copy_per_byte));
+           *. (costs w).Sys_costs.copy_per_byte));
       group := payload :: !group
     done;
     if n > 1 then
-      charge_xen_cat w ((n - 1) * w.costs.Sys_costs.notify_coalesce);
+      charge_xen_cat w ((n - 1) * (costs w).Sys_costs.notify_coalesce);
     let group = List.rev !group in
     Hypervisor.send_virq h dom (fun () ->
         List.iter
           (fun payload ->
-            charge_domU_cat w w.costs.Sys_costs.kernel_rx_path;
+            charge_domU_cat w (costs w).Sys_costs.kernel_rx_path;
             count_rx ~guest:gi w payload)
           group)
   done
@@ -1593,8 +1590,8 @@ let transmit_from ?nic w ~guest:g ~payload =
         | None -> "")
   | Some (n, io) -> (
       if w.nics.(n).quarantined then raise (Nic_quarantined { nic = n });
-      charge_domU_cat w w.costs.Sys_costs.kernel_tx_path;
-      charge_dom0_cat w w.costs.Sys_costs.dom0_tx_kernel;
+      charge_domU_cat w (costs w).Sys_costs.kernel_tx_path;
+      charge_dom0_cat w (costs w).Sys_costs.dom0_tx_kernel;
       let frame =
         build_frame ~dst:(client_mac n) ~src:(vif_mac g n) ~payload
       in

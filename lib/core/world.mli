@@ -11,48 +11,28 @@
 
 type t
 
-val create :
-  ?nics:int ->
-  ?guests:int ->
-  ?upcall_set:string list ->
-  ?pool_entries:int ->
-  ?costs:Td_xen.Sys_costs.t ->
-  ?spill_everything:bool ->
-  ?rewrite_style:Td_rewriter.Rewrite.style ->
-  ?cache_probes:bool ->
-  ?map_pairs:bool ->
-  ?shard:int ->
-  ?tuning:Config.tuning ->
-  Config.t ->
-  t
-(** [guests] (default 1) creates that many guest domains (Xen_twin: the
+val create : ?nics:int -> ?guests:int -> ?tuning:Config.tuning -> Config.t -> t
+(** [create ?nics ?guests ?tuning cfg] builds and boots a world: [nics]
+    (default 5) e1000 NICs and, for the Xen guest configurations,
+    [guests] (default 1, at most 256) guest domains; on Xen_twin the
     hypervisor demultiplexes received packets among them by destination
-    MAC, §5.3). [upcall_set] (Xen_twin only) lists fast-path support
-    routines that are demoted to upcalls — the Figure 10 experiment.
-    [pool_entries] sizes the hypervisor's preallocated sk_buff pool.
-    [spill_everything], [rewrite_style] and [map_pairs] select the
-    DESIGN.md ablations (Xen_twin only). [tuning] (default
-    {!Config.default_tuning}) sets the SVM map-window size and the
-    notification batch factor; batching changes only when notifications
-    are sent, never the frame payloads or their order.
+    MAC (§5.3). Everything else — window size, notification batching,
+    recovery policy, doorbell, quotas, fault plan, queues, shard index,
+    demoted upcalls, pool size, system costs and the rewriter ablations —
+    comes from [tuning] (default {!Config.default_tuning}); see
+    {!Config.tuning} for each field. Raises [Invalid_argument] on a guest
+    count out of range, a [notify_batch] below 1 or a negative [shard].
 
     The world owns its engines. Its one {!Td_fault.Engine.t} is handed
     to every layer that hosts an injection site and is armed with
     [tuning.fault_plan] only after the driver has booted. Its quota
     engine, built from [tuning.quota], lives on its hypervisor. Nothing
-    is shared with any other world.
-
-    [shard] (default 0) marks this world as one (guest, queue) execution
-    context of a sharded simulation ({!Mq}): it selects the world's stlb
-    partition (32 KiB tables packed between [Layout.stlb_base] and the
-    hypervisor scratch page, partition [shard mod 32]) and the per-queue
-    doorbell words of its I/O channels. Shard 0 uses the historical
-    table base and is bit-identical to an unsharded world. *)
+    is shared with any other world. *)
 
 val config : t -> Config.t
 
-(** [shard t] is the shard index this world was created with (0 by
-    default). *)
+(** [shard t] is [tuning.shard], the shard index this world was created
+    with. *)
 
 val shard : t -> int
 val nic_count : t -> int

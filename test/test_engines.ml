@@ -26,8 +26,13 @@ let run ?window ~dir mode sizes =
     | None -> World.create ~nics:1 Config.Xen_twin
     | Some pages ->
         (* a small pool pins few pages, leaving the rest to the clock *)
-        World.create ~nics:1 ~pool_entries:96
-          ~tuning:{ Config.default_tuning with Config.map_window_pages = pages }
+        World.create ~nics:1
+          ~tuning:
+            {
+              Config.default_tuning with
+              Config.map_window_pages = pages;
+              pool_entries = 96;
+            }
           Config.Xen_twin
   in
   Td_cpu.Interp.set_dispatch (World.interp w) mode;

@@ -317,11 +317,12 @@ let every_site_plan =
   { (Td_fault.uniform_plan ~seed:5 0.01) with interp_bitflip = 1e-4 }
 
 let world_a () =
-  World.create ~nics:2 ~upcall_set:[ "spin_trylock" ]
+  World.create ~nics:2
     ~tuning:
       {
         Config.default_tuning with
-        Config.recovery = Config.Restart_replay;
+        Config.upcall_set = [ "spin_trylock" ];
+        recovery = Config.Restart_replay;
         quota =
           Some
             {
@@ -394,11 +395,12 @@ let test_two_worlds_isolated () =
 let test_quota_world_recovers () =
   let run quota =
     let w =
-      World.create ~nics:1 ~upcall_set:[ "spin_trylock" ]
+      World.create ~nics:1
         ~tuning:
           {
             Config.default_tuning with
-            Config.recovery = Config.Restart;
+            Config.upcall_set = [ "spin_trylock" ];
+            recovery = Config.Restart;
             quota;
             fault_plan =
               Some { Td_fault.zero_plan with seed = 3; upcall_fail = 0.05 };

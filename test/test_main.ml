@@ -14,15 +14,12 @@ let () =
       ("kernel", Test_kernel.suite);
       ("nic", Test_nic.suite);
       ("net", Test_net.suite);
-      ("tcp", Test_tcp.suite);
-      ("http", Test_http.suite);
       ("rtl", Test_rtl.suite);
       ("world", Test_world.suite);
       ("netio", Test_netio.suite);
       ("doorbell", Test_doorbell.suite);
       ("multiqueue", Test_multiqueue.suite);
       ("window", Test_window.suite);
-      ("netchannel", Test_netchannel.suite);
       ("experiments", Test_experiments.suite);
       ("obs", Test_obs.suite);
       ("fault", Test_fault.suite);

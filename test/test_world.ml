@@ -66,7 +66,12 @@ let test_twin_no_switch_on_data_path () =
 
 let test_twin_upcalls_when_demoted () =
   let w =
-    World.create ~nics:1 ~upcall_set:[ "spin_trylock"; "spin_unlock_irqrestore" ]
+    World.create ~nics:1
+      ~tuning:
+        {
+          Config.default_tuning with
+          Config.upcall_set = [ "spin_trylock"; "spin_unlock_irqrestore" ];
+        }
       Config.Xen_twin
   in
   let h = Option.get (World.hypervisor w) in
@@ -98,7 +103,11 @@ let test_twin_pool_exhaustion_drops () =
   (* a pool too small to keep refilling the receive ring: the hypervisor's
      netdev_alloc_skb returns NULL and the driver must drop gracefully
      (reusing the in-place buffer), not crash *)
-  let w = World.create ~nics:1 ~pool_entries:4 Config.Xen_twin in
+  let w =
+    World.create ~nics:1
+      ~tuning:{ Config.default_tuning with Config.pool_entries = 4 }
+      Config.Xen_twin
+  in
   for _ = 1 to 20 do
     World.inject_rx w ~nic:0 ~payload
   done;
